@@ -1,19 +1,18 @@
-"""Compare the pure-Python and compiled evaluation kernels.
+"""Time the evaluation kernel on its own.
 
-Runs a few representative method bodies over fuzzy inputs of growing size
-and reports the median wall time per call for each backend, plus the
-speedup.  Usage:
+Runs a few representative method bodies, without sum(), over fuzzy inputs
+of growing size, so every case enumerates the full product of its
+variables' supports, and reports the best wall time per call.  Usage:
 
     python benchmarks/bench_kernel.py [--repeat 7] [--calls 20]
 """
 from __future__ import annotations
 
 import argparse
-import statistics
 import timeit
 
 from foodn.expr import compile_program, parse_expr
-from foodn.kernel import available_backends
+from foodn.kernel import eval_program
 
 CASES = [
     # (label, body, number of variables, supports per variable)
@@ -55,37 +54,16 @@ def main() -> None:
     ap.add_argument("--calls", type=int, default=20)
     args = ap.parse_args()
 
-    backends = available_backends()
-    names = sorted(backends)
-    header = f"{'case':28}" + "".join(f"{n:>14}" for n in names)
-    if len(names) == 2:
-        header += f"{'speedup':>10}"
-    print(header)
-    print("-" * len(header))
-
-    ratios = []
+    print(f"{'case':28}{'time':>14}")
+    print("-" * 42)
     for label, body, n_vars, n_supports in CASES:
         var_names = [chr(ord("a") + i) for i in range(n_vars)]
         program = compile_program(parse_expr(body),
                                   {v: i for i, v in enumerate(var_names)})
         supports, degrees = build_inputs(n_vars, n_supports)
-        row = f"{label:28}"
-        timings = {}
-        for name in names:
-            seconds = bench(backends[name], program, supports, degrees,
-                            args.repeat, args.calls)
-            timings[name] = seconds
-            row += f"{seconds * 1e3:>12.3f}ms"
-        if "pure" in timings and "compiled" in timings:
-            ratio = timings["pure"] / timings["compiled"]
-            ratios.append(ratio)
-            row += f"{ratio:>9.1f}x"
-        print(row)
-
-    if ratios:
-        print("-" * len(header))
-        print(f"geometric mean speedup: "
-              f"{statistics.geometric_mean(ratios):.1f}x over {len(CASES)} cases")
+        seconds = bench(eval_program, program, supports, degrees,
+                        args.repeat, args.calls)
+        print(f"{label:28}{seconds * 1e3:>12.3f}ms")
 
 
 if __name__ == "__main__":

@@ -2,9 +2,7 @@
 
 Runs a compiled RPN program over every combination of the variables'
 supports, taking the min of the participating degrees per combination and
-the max degree over outputs that coincide within the tolerance.  The
-compiled twin in ``_fastkernel.pyx`` follows this structure line for line;
-keep them in sync.
+the max degree over outputs that coincide within the tolerance.
 """
 from __future__ import annotations
 

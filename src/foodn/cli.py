@@ -3,7 +3,8 @@
 Every invocation is stateless.  Exit codes: 0 on success, 1 for domain
 errors (unknown entities, inapplicable modifiers, results that do not
 exist), 2 for usage, parse, or document errors.  The FOODN_TOLERANCE
-environment variable overrides the numeric tolerance.
+environment variable overrides the numeric tolerance; it must be a finite
+number >= 0.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from .errors import (
     SchemaVersionMismatch,
 )
 from .evaluator import eval_method
-from .fuzzy import DEFAULT_TOL, FuzzySet, format_fuzzy_set, format_number
+from .fuzzy import DEFAULT_TOL, FuzzySet, check_tolerance, format_fuzzy_set, format_number
 from .serialize import dumps, export_dot, load_file, save_file, value_to_doc
 from .model import Fuzzy
 
@@ -238,10 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    raw = os.environ.get("FOODN_TOLERANCE")
     try:
-        tol = float(os.environ.get("FOODN_TOLERANCE", DEFAULT_TOL))
+        tol = DEFAULT_TOL if raw is None else check_tolerance(float(raw))
     except ValueError:
-        print("error: FOODN_TOLERANCE is not a number", file=sys.stderr)
+        print(f"error: FOODN_TOLERANCE must be a finite number >= 0, got {raw!r}", file=sys.stderr)
         return 2
     try:
         return args.func(args, tol)

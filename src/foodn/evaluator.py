@@ -1,17 +1,26 @@
 """Method evaluation over fuzzy-valued properties.
 
-A method body is compiled to a small stack program; every bound variable
-becomes a program slot carrying the supports and degrees of its value
-(crisp values are one-point supports at degree 1).  The kernel enumerates
-all support combinations, so a variable bound once names one quantity no
-matter how often the body mentions it, while an indexed family bound with
-[*] enumerates each component independently inside sum().
+A method body is compiled once per MethodDef to a small stack program with
+one slot per binding; each slot carries the supports and degrees of its
+value (crisp values are one-point supports at degree 1).  The kernel
+enumerates all support combinations, so a variable bound once names one
+quantity no matter how often the body mentions it.
+
+An indexed family bound with [*] may appear only inside sum(), so the body
+depends on the family through its sum alone.  The members vary
+independently, and under sup-min the extension of a sum over noninteractive
+variables equals extending it one pair at a time (Zadeh 1975; Dubois and
+Prade 1980).  The family's slot therefore carries its sum, folded member by
+member through the kernel, and the cost grows with the size of the partial
+sums rather than with the product of the members' supports.
 """
 from __future__ import annotations
 
+import weakref
+
 from . import kernel as _kernel
 from .errors import UnknownMethod, UnresolvedBinding
-from .expr import Bin, Call, Expr, Neg, Num, Sum, Var, compile_program, parse_expr
+from .expr import Bin, Call, Expr, Neg, Program, Var, compile_program, parse_expr
 from .fuzzy import DEFAULT_TOL, FuzzySet
 from .model import (
     Binding,
@@ -22,6 +31,11 @@ from .model import (
     MethodDef,
     TruthDegree,
 )
+
+_ADD = compile_program(Bin("+", Var("x"), Var("y")), {"x": 0, "y": 1})
+
+# Compiled bodies, kept only as long as their MethodDef is alive.
+_PROGRAMS: weakref.WeakKeyDictionary[MethodDef, Program] = weakref.WeakKeyDictionary()
 
 
 def resolve_binding(entity, binding: Binding):
@@ -79,87 +93,77 @@ def resolve_binding(entity, binding: Binding):
     raise UnresolvedBinding(f"{entity.name}.{binding.prop} cannot form an indexed family")
 
 
-def _expand(node: Expr, families: dict[str, int]) -> Expr:
-    """Replace sum(v) with an explicit chain over the family members."""
-    if isinstance(node, (Num, Var)):
-        if isinstance(node, Var) and node.name in families:
-            raise UnresolvedBinding(
-                f"family variable {node.name!r} can only appear inside sum()"
-            )
-        return node
+def _check_families(node: Expr, families: set[str]) -> None:
+    """Raise UnresolvedBinding when a family variable is read outside sum()."""
+    if isinstance(node, Var) and node.name in families:
+        raise UnresolvedBinding(
+            f"family variable {node.name!r} can only appear inside sum()"
+        )
     if isinstance(node, Neg):
-        return Neg(_expand(node.operand, families))
-    if isinstance(node, Bin):
-        return Bin(node.op, _expand(node.left, families), _expand(node.right, families))
-    if isinstance(node, Call):
-        return Call(node.func, _expand(node.arg, families))
-    if isinstance(node, Sum):
-        if node.var not in families:
-            # a scalar under sum() is just itself
-            return Var(node.var)
-        out: Expr = Var(f"{node.var}#1")
-        for i in range(2, families[node.var] + 1):
-            out = Bin("+", out, Var(f"{node.var}#{i}"))
-        return out
-    raise TypeError(f"not an expression node: {node!r}")
+        _check_families(node.operand, families)
+    elif isinstance(node, Bin):
+        _check_families(node.left, families)
+        _check_families(node.right, families)
+    elif isinstance(node, Call):
+        _check_families(node.arg, families)
 
 
-def evaluate_method(entity, method: MethodDef, tol: float = DEFAULT_TOL, backend=None):
+def _program(method: MethodDef) -> Program:
+    """The method's body compiled with one slot per binding, in binding order."""
+    program = _PROGRAMS.get(method)
+    if program is None:
+        ast = parse_expr(method.body)
+        _check_families(ast, {b.var for b in method.bindings if b.accessor == "all"})
+        slots = {b.var: i for i, b in enumerate(method.bindings)}
+        program = _PROGRAMS[method] = compile_program(ast, slots)
+    return program
+
+
+def _run(program: Program, supports, degrees, tol: float):
+    return _kernel.eval_program(
+        program.codes, program.operands, program.consts, program.max_stack,
+        supports, degrees, tol,
+    )
+
+
+def _column(value):
+    """Supports and degrees of one value; a crisp value is one point at degree 1."""
+    if isinstance(value, FuzzySet):
+        return value.supports(), value.degrees()
+    return [float(value)], [1.0]
+
+
+def _fold_sum(parts, tol: float):
+    """Supports and degrees of the sum of *parts*, extended one member at a time."""
+    supports, degrees = _column(parts[0])
+    for part in parts[1:]:
+        s, d = _column(part)
+        supports, degrees = _run(_ADD, [supports, s], [degrees, d], tol)
+    return supports, degrees
+
+
+def evaluate_method(entity, method: MethodDef, tol: float = DEFAULT_TOL):
     """Run *method* on *entity*; fuzzy inputs yield a FuzzySet, crisp a float."""
-    run = backend or _kernel.eval_program
-    ast = parse_expr(method.body)
-
-    scalars: dict[str, object] = {}
-    families: dict[str, list] = {}
+    supports = []
+    degrees = []
+    any_fuzzy = False
     for b in method.bindings:
         resolved = resolve_binding(entity, b)
-        if isinstance(resolved, list):
-            families[b.var] = resolved
-        else:
-            scalars[b.var] = resolved
+        parts = resolved if isinstance(resolved, list) else [resolved]
+        any_fuzzy = any_fuzzy or any(isinstance(p, FuzzySet) for p in parts)
+        s, d = _fold_sum(parts, tol)
+        supports.append(s)
+        degrees.append(d)
 
-    expanded = _expand(ast, {v: len(parts) for v, parts in families.items()})
-
-    slots: dict[str, int] = {}
-    supports: list[list[float]] = []
-    degrees: list[list[float]] = []
-    any_fuzzy = False
-
-    def add_slot(name, value):
-        nonlocal any_fuzzy
-        slots[name] = len(supports)
-        if isinstance(value, FuzzySet):
-            any_fuzzy = True
-            supports.append(list(value.supports()))
-            degrees.append(list(value.degrees()))
-        else:
-            supports.append([float(value)])
-            degrees.append([1.0])
-
-    for var, value in scalars.items():
-        add_slot(var, value)
-    for var, parts in families.items():
-        for i, part in enumerate(parts, start=1):
-            add_slot(f"{var}#{i}", part)
-
-    program = compile_program(expanded, slots)
-    values, degs = run(
-        program.codes,
-        program.operands,
-        program.consts,
-        program.max_stack,
-        supports,
-        degrees,
-        tol,
-    )
+    values, degs = _run(_program(method), supports, degrees, tol)
     if not any_fuzzy:
         return values[0]
     return FuzzySet(tuple(zip(values, degs)), method.result_unit)
 
 
-def eval_method(entity, method_id: str, tol: float = DEFAULT_TOL, backend=None):
+def eval_method(entity, method_id: str, tol: float = DEFAULT_TOL):
     """Evaluate the entity's own method with the given id."""
     method = entity.get_method(method_id)
     if method is None:
         raise UnknownMethod(f"{entity.name} has no method {method_id!r}")
-    return evaluate_method(entity, method, tol, backend)
+    return evaluate_method(entity, method, tol)

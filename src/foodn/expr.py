@@ -12,19 +12,19 @@ Grammar (no implicit multiplication):
 
 so "^" binds tighter than unary minus, which binds tighter than "*" and "/".
 Trigonometric functions take angles in degrees.  ``sum(v)`` adds up an
-indexed family bound to ``v``; it is expanded before compilation, one
-independent variable per family member.
+indexed family bound to ``v``; the evaluator folds the family into v's
+slot, so the compiled program reads ``sum(v)`` as that slot.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 
-from .errors import EvaluationError, ExprSyntaxError
+from .errors import ExprSyntaxError
 
 FUNCTIONS = ("sin", "cos", "sqrt")
 
-# Opcodes shared by the pure and compiled kernels.
+# Opcodes the kernel runs.
 OP_CONST = 0   # push consts[operand]
 OP_VAR = 1     # push current support of variable slot operand
 OP_ADD = 2
@@ -231,7 +231,7 @@ class Program:
 
 
 def compile_program(expr: Expr, var_slots: dict[str, int]) -> Program:
-    """Flatten *expr* to RPN; every Var must have a slot, sums must be expanded."""
+    """Flatten *expr* to RPN; every Var and sum() variable must have a slot."""
     codes: list[int] = []
     operands: list[int] = []
     consts: list[float] = []
@@ -242,9 +242,9 @@ def compile_program(expr: Expr, var_slots: dict[str, int]) -> Program:
             operands.append(len(consts))
             consts.append(float(expr.value))
             return 1
-        if isinstance(expr, Var):
+        if isinstance(expr, (Var, Sum)):
             codes.append(OP_VAR)
-            operands.append(var_slots[expr.name])
+            operands.append(var_slots[expr.name if isinstance(expr, Var) else expr.var])
             return 1
         if isinstance(expr, Neg):
             depth = emit(expr.operand)
@@ -262,8 +262,6 @@ def compile_program(expr: Expr, var_slots: dict[str, int]) -> Program:
             codes.append(_CALL_OPS[expr.func])
             operands.append(0)
             return depth
-        if isinstance(expr, Sum):
-            raise EvaluationError(f"sum({expr.var}) was not expanded before compilation")
         raise TypeError(f"not an expression node: {expr!r}")
 
     depth = emit(expr)

@@ -52,6 +52,14 @@ def check_degree(value: float, what: str = "degree") -> float:
     return v
 
 
+def check_tolerance(tol: float) -> float:
+    """A comparison tolerance must be a finite number >= 0; raises ValueError."""
+    t = float(tol)
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
+    return t
+
+
 def format_number(x: float) -> str:
     """Shortest faithful rendering; integral values drop the decimal point."""
     if x == int(x) and abs(x) < 1e16:

@@ -1,38 +1,16 @@
-"""Backend selection for the evaluation kernel.
+"""The evaluation kernel: the one place method bodies are enumerated.
 
-The compiled extension is preferred when importable; setting FOODN_PURE=1 in
-the environment forces the pure-Python kernel.  Both expose the same
-``eval_program`` contract.
+``eval_program`` runs a compiled program over every combination of its
+variables' supports (see ``_pykernel``).
 """
 from __future__ import annotations
 
-import os
-
 from . import _pykernel
 
-
-def _load():
-    if os.environ.get("FOODN_PURE") == "1":
-        return _pykernel
-    try:
-        from . import _fastkernel
-        return _fastkernel
-    except ImportError:
-        return _pykernel
-
-
-_impl = _load()
-
-BACKEND: str = _impl.BACKEND
-eval_program = _impl.eval_program
+BACKEND: str = _pykernel.BACKEND
+eval_program = _pykernel.eval_program
 
 
 def available_backends() -> dict:
-    """Map of backend name to its eval_program; used by tests and benchmarks."""
-    out = {"pure": _pykernel.eval_program}
-    try:
-        from . import _fastkernel
-        out["compiled"] = _fastkernel.eval_program
-    except ImportError:
-        pass
-    return out
+    """Map of backend name to its eval_program; used by benchmarks."""
+    return {"pure": eval_program}

@@ -24,7 +24,7 @@ from .errors import (
     UnknownExploiter,
     UnknownModifier,
 )
-from .fuzzy import DEFAULT_TOL, check_degree, format_number
+from .fuzzy import DEFAULT_TOL, check_degree, check_tolerance, format_number
 from .model import (
     ClassSpec,
     FuzzyObject,
@@ -96,7 +96,7 @@ class Network:
     """A fuzzy object-oriented dynamic network."""
 
     def __init__(self, tol: float = DEFAULT_TOL):
-        self.tol = tol
+        self.tol = check_tolerance(tol)
         self.objects: dict[str, FuzzyObject] = {}
         self.classes: dict[str, ClassSpec | HeterogeneousClass] = {}
         self.relations: list[Relation] = []

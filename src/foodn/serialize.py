@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import CorruptDocument, SchemaVersionMismatch
+from .errors import CorruptDocument, FoodnError, SchemaVersionMismatch
 from .fuzzy import DEFAULT_TOL, FuzzySet
 from .model import (
     Absent,
@@ -283,7 +283,11 @@ def from_document(doc, tol: float = DEFAULT_TOL) -> Network:
                     tuple(_change_from(c) for c in pdoc["changes"]),
                 )
             )
-    except (KeyError, TypeError) as exc:
+    except CorruptDocument:
+        raise
+    except (KeyError, TypeError, ValueError, FoodnError) as exc:
+        # whatever the network refuses to build from the document is the
+        # document's fault, not a domain error of the operation that loaded it
         raise CorruptDocument(f"bad network document: {exc}") from exc
     return net
 

@@ -1,41 +1,18 @@
 from __future__ import annotations
 
-import importlib
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import foodn
+
 TESTS = Path(__file__).parent
 GOLDEN = TESTS / "golden"
 
-# Compile foodn._fastkernel in place (the .so lands in src/foodn/) through
-# setup.py, the one build description; setuptools skips the compile when the
-# extension is newer than its source.  This runs before foodn is imported,
-# because foodn.kernel fixes its backend at import time.
-KERNEL_BUILD = subprocess.run(
-    [sys.executable, "setup.py", "build_ext", "--inplace"],
-    cwd=TESTS.parent,
-    capture_output=True,
-    text=True,
-)
-importlib.invalidate_caches()
-
-import foodn  # noqa: E402
-from foodn import kernel  # noqa: E402
-
 POLYGONS = str(foodn.fixture_path("polygons.foodn"))
 DISJOINT = str(foodn.fixture_path("disjoint.foodn"))
-
-
-def pytest_report_header(config):
-    available = kernel.available_backends()
-    lines = [f"foodn kernel: {kernel.BACKEND} (available: {', '.join(sorted(available))})"]
-    if "compiled" not in available:
-        lines.append(f"in-place kernel build (exit {KERNEL_BUILD.returncode}) ended with:")
-        lines += ["  " + line for line in KERNEL_BUILD.stderr.strip().splitlines()[-5:]]
-    return lines
 
 
 @pytest.fixture

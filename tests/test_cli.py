@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import DISJOINT, POLYGONS, run_cli
+from foodn import load_file, to_document
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -155,6 +156,13 @@ class TestToleranceEnv:
         assert code == 2
         assert "FOODN_TOLERANCE" in err
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_tolerance_must_be_finite_and_non_negative(self, value):
+        env = dict(os.environ, FOODN_TOLERANCE=value)
+        code, out, err = run_cli("membership", "Rb1", "T_Rb", "--in", POLYGONS, env=env)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: FOODN_TOLERANCE")
+
 
 class TestExitCodes:
     def test_domain_errors_are_1(self):
@@ -178,6 +186,23 @@ class TestExitCodes:
         path.write_text("{not json")
         code, _, err = run_cli("load", "--in", str(path))
         assert code == 2 and "not valid JSON" in err
+
+    @pytest.mark.parametrize("corrupt", ["unknown endpoint", "empty interval"])
+    def test_invalid_document_is_2(self, tmp_path, corrupt):
+        doc = to_document(load_file(POLYGONS)[0])
+        if corrupt == "unknown endpoint":
+            doc["relations"].append(
+                {"source": "Nope", "target": "T_Rb", "kind": "instance-of", "degree": 1.0})
+        else:
+            [t_rb] = [c for c in doc["classes"] if c["name"] == "T_Rb"]
+            [angles] = [p for p in t_rb["properties"] if p["id"] == "p4"]
+            angles["value"]["lo"] = angles["value"]["hi"]
+        path = tmp_path / "invalid.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli("load", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad network document:")
+        assert "Traceback" not in err
 
     def test_version_mismatch_is_2(self, tmp_path):
         path = tmp_path / "future.json"

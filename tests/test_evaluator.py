@@ -3,7 +3,10 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from foodn import evaluator
 from foodn.errors import UnknownMethod, UnresolvedBinding
 from foodn.evaluator import eval_method, evaluate_method, resolve_binding
 from foodn.fuzzy import FuzzySet, fs_equal, make_fuzzy_set
@@ -137,3 +140,53 @@ class TestEvaluateMethod:
         method = MethodDef("free", "Half base", "b/2", (Binding("b", "p7", "scalar"),), "cm")
         result = evaluate_method(polygon_like(), method)
         assert result.elements == ((0.9, 0.9), (1.0, 1.0), (1.05, 0.95))
+
+
+def perimeter_of(sides):
+    return define_object("P", [
+        Property("p2", "Lengths of sides", FuzzyTuple(tuple(sides))),
+    ], [
+        MethodDef("f1s", "Perimeter", "sum(a)", (Binding("a", "p2", "all"),), "cm"),
+    ])
+
+
+# fuzzy sets of 1-4 elements whose supports lie on one 0.05 grid
+grid_set = st.lists(
+    st.tuples(st.integers(0, 60).map(lambda n: n * 0.05),
+              st.integers(1, 1000).map(lambda n: n / 1000.0)),
+    min_size=1, max_size=4,
+).map(make_fuzzy_set)
+
+
+class TestSumFamilies:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(grid_set, min_size=1, max_size=5))
+    def test_sum_matches_oracle(self, sides):
+        result = eval_method(perimeter_of(sides), "f1s")
+        expected = oracle_extend(lambda *xs: sum(xs), [list(fs.elements) for fs in sides])
+        assert len(result.elements) == len(expected)
+        for (got, degree), (want, want_degree) in zip(result.elements, expected):
+            assert abs(got - want) <= 1e-9
+            assert degree == want_degree
+
+    def test_twelve_sides_past_the_product_limit(self):
+        # 5^12 combinations exceed MAX_COMBINATIONS; the sum has 12*4+1 points
+        side = make_fuzzy_set([(2.0 + 0.1 * k, 1.0 - 0.1 * k) for k in range(5)], unit="cm")
+        result = eval_method(perimeter_of([side] * 12), "f1s")
+        assert len(result.elements) == 49
+        assert result.elements[0][0] == pytest.approx(12 * 2.0, abs=1e-9)
+        assert result.elements[-1][0] == pytest.approx(12 * 2.4, abs=1e-9)
+
+    def test_body_is_parsed_once(self, monkeypatch):
+        calls = []
+        parse = evaluator.parse_expr
+        monkeypatch.setattr(evaluator, "parse_expr", lambda text: calls.append(text) or parse(text))
+        obj = polygon_like()
+        method = MethodDef("f2", "Area", "a^2*sin(alpha)", (
+            Binding("a", "p2", "component", 1),
+            Binding("alpha", "p4", "component", 1),
+        ), "cm^2")
+        first = evaluate_method(obj, method)
+        for _ in range(5):
+            assert evaluate_method(obj, method) == first
+        assert len(calls) <= 1

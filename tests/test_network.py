@@ -78,6 +78,12 @@ class TestConstruction:
         with pytest.raises(Exception):
             net.add_relation("O1", "C1", "instance-of", 1.5)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+    def test_tolerance_must_be_finite_and_non_negative(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            Network(tol)
+        assert Network(0.0).tol == 0.0
+
 
 class TestQueries:
     def test_is_fuzzy_witnesses(self, polygons):
