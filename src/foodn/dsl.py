@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DslError, FoodnError, SemanticMismatch
 from .fuzzy import DEFAULT_TOL, make_fuzzy_set
@@ -71,8 +72,7 @@ class ParseDiagnostic:
         return f"{self.line}:{self.col}: {self.severity}: {self.message}"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident, number, string, punct, eof
     value: object
     line: int

@@ -21,7 +21,7 @@ import weakref
 from . import kernel as _kernel
 from .errors import UnknownMethod, UnresolvedBinding
 from .expr import Bin, Call, Expr, Neg, Program, Var, compile_program, parse_expr
-from .fuzzy import DEFAULT_TOL, FuzzySet
+from .fuzzy import DEFAULT_TOL, FuzzySet, check_tolerance
 from .model import (
     Binding,
     CrispNumber,
@@ -143,7 +143,9 @@ def _fold_sum(parts, tol: float):
 
 
 def evaluate_method(entity, method: MethodDef, tol: float = DEFAULT_TOL):
-    """Run *method* on *entity*; fuzzy inputs yield a FuzzySet, crisp a float."""
+    """Run *method* on *entity*; fuzzy inputs yield a FuzzySet, crisp a float.
+    The tolerance must be a finite number >= 0 (ValueError otherwise)."""
+    tol = check_tolerance(tol)
     supports = []
     degrees = []
     any_fuzzy = False

@@ -99,7 +99,7 @@ class Network:
         self.tol = check_tolerance(tol)
         self.objects: dict[str, FuzzyObject] = {}
         self.classes: dict[str, ClassSpec | HeterogeneousClass] = {}
-        self.relations: list[Relation] = []
+        self.relations = []  # the setter builds the index
         self.modifiers: dict[str, Modifier] = {}
         self.exploiters: dict[str, _exp.ExploiterInfo] = {
             e.kind: e for e in _exp.UNIVERSAL_EXPLOITERS
@@ -133,6 +133,38 @@ class Network:
             return self.history[name]
         raise UnknownEndpoint(f"no entity, live or historical, named {name!r}")
 
+    @property
+    def relations(self) -> list[Relation]:
+        """Every relation in insertion order: the canonical list that
+        fuzziness witnesses and exports read.  Insert through add_relation;
+        mutating the list in place bypasses the index.  Assigning a list
+        re-indexes it in order, treating duplicates as add_relation does but
+        checking no endpoints (entities and history may be assigned after)."""
+        return self._relations
+
+    @relations.setter
+    def relations(self, relations):
+        self._relations: list[Relation] = []
+        self._by_key: dict[tuple[str, str, str], Relation] = {}
+        # direction -> kind -> name -> the names one edge away
+        self._adjacency: dict[str, dict[str, dict[str, list[str]]]] = {
+            d: {k: {} for k in RELATION_KINDS} for d in ("out", "in")
+        }
+        for relation in relations:
+            self._insert(relation)
+
+    def _insert(self, relation: Relation):
+        key = (relation.source, relation.target, relation.kind)
+        existing = self._by_key.get(key)
+        if existing is not None:
+            if existing.degree == relation.degree:
+                return  # set semantics: an exact duplicate is a no-op
+            raise DuplicateName(f"relation {existing} already present with a different degree")
+        self._by_key[key] = relation
+        self._relations.append(relation)
+        self._adjacency["out"][relation.kind].setdefault(relation.source, []).append(relation.target)
+        self._adjacency["in"][relation.kind].setdefault(relation.target, []).append(relation.source)
+
     def _append_relation(self, relation: Relation):
         src = self._endpoint_kind(relation.source)
         tgt = self._endpoint_kind(relation.target)
@@ -147,18 +179,7 @@ class Network:
                 raise KindMismatch(f"{relation.kind} needs a {want_src} source, got {src}")
             if want_tgt is not None and tgt != want_tgt:
                 raise KindMismatch(f"{relation.kind} needs a {want_tgt} target, got {tgt}")
-        for existing in self.relations:
-            if (existing.source, existing.target, existing.kind) == (
-                relation.source,
-                relation.target,
-                relation.kind,
-            ):
-                if existing.degree == relation.degree:
-                    return  # set semantics: an exact duplicate is a no-op
-                raise DuplicateName(
-                    f"relation {existing} already present with a different degree"
-                )
-        self.relations.append(relation)
+        self._insert(relation)
 
     def add_relation(self, source: str, target: str, kind: str, degree: float = 1.0):
         self._append_relation(Relation(source, target, kind, degree))
@@ -230,23 +251,19 @@ class Network:
             raise ValueError(f"direction must be out or in, got {direction!r}")
         self._endpoint_kind(name)  # raises UnknownEndpoint for strangers
 
-        step: dict[str, set[str]] = {}
-        for rel in self.relations:
-            if rel.kind in kinds:
-                a, b = (rel.source, rel.target) if direction == "out" else (rel.target, rel.source)
-                step.setdefault(a, set()).add(b)
-
+        steps = [self._adjacency[direction][k] for k in set(kinds)]
         found: set[str] = set()
         frontier = [name]
         seen = {name}
         while frontier:
             here = frontier.pop()
-            for nxt in step.get(here, ()):
-                if nxt not in found:
-                    found.add(nxt)
-                    if transitive and nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
+            for step in steps:
+                for nxt in step.get(here, ()):
+                    if nxt not in found:
+                        found.add(nxt)
+                        if transitive and nxt not in seen:
+                            seen.add(nxt)
+                            frontier.append(nxt)
             if not transitive:
                 break
         return sorted(found)
@@ -254,13 +271,10 @@ class Network:
     def infer_relations(self, threshold: float = 0.0) -> list[Relation]:
         """Propose instance-of edges for object/class pairs whose membership
         clears the threshold; nothing is added to the network."""
-        existing = {
-            (r.source, r.target) for r in self.relations if r.kind == "instance-of"
-        }
         proposals = []
         for oname in sorted(self.objects):
             for cname in sorted(self.classes):
-                if (oname, cname) in existing:
+                if (oname, cname, "instance-of") in self._by_key:
                     continue
                 try:
                     degree = self.membership(oname, cname)

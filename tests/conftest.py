@@ -34,6 +34,9 @@ def run_cli(*args, env=None):
     import os
 
     full_env = dict(os.environ)
+    # the child imports the same foodn as the tests, installed or not
+    src = str(Path(foodn.__file__).resolve().parent.parent)
+    full_env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, full_env.get("PYTHONPATH")]))
     if env:
         full_env.update(env)
     proc = subprocess.run(

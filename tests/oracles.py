@@ -48,3 +48,44 @@ def oracle_extend(f, args, tol=1e-9):
         else:
             merged.append([value, degree])
     return [(v, d) for v, d in merged if d > 0.0]
+
+
+def oracle_insert(relations, relation):
+    """Insert a (source, target, kind, degree) tuple into a list of them
+    with set semantics, by linear scan.
+
+    Returns "added", "duplicate" (the same edge with the same degree is
+    already there; nothing changes) or "conflict" (the same edge with
+    another degree; nothing changes).
+    """
+    for source, target, kind, degree in relations:
+        if (source, target, kind) == relation[:3]:
+            return "duplicate" if degree == relation[3] else "conflict"
+    relations.append(tuple(relation))
+    return "added"
+
+
+def oracle_reach(relations, start, kinds, direction, transitive):
+    """Names reachable from *start* over (source, target, kind, ...) tuples
+    of the given kinds, breadth first, one full scan of the list per name
+    visited.  Sorted, without duplicates; *start* itself appears only when
+    a path leads back to it."""
+    found = set()
+    visited = {start}
+    frontier = [start]
+    while frontier:
+        following = []
+        for here in frontier:
+            for source, target, kind, *_ in relations:
+                if kind not in kinds:
+                    continue
+                near, far = (source, target) if direction == "out" else (target, source)
+                if near == here:
+                    found.add(far)
+                    if far not in visited:
+                        visited.add(far)
+                        following.append(far)
+        if not transitive:
+            break
+        frontier = following
+    return sorted(found)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from foodn.dsl import parse_network
+from foodn.dsl import _tokenize, parse_network
 from foodn.errors import DslError
 from foodn.model import (
     Absent,
@@ -185,6 +185,46 @@ class TestDiagnostics:
     def test_no_partial_network_on_error(self):
         with pytest.raises(DslError):
             parse_network('class Good { property p1 "P" = 1; }\nclass Bad {}\n')
+
+
+class TestTokenizer:
+    def test_token_stream(self):
+        text = (
+            "relation O1 instance-of T_x degree .5; // a comment -> 3\n"
+            'p1: "say \\"hi\\"" -2 -> -0.25e1;\n'
+        )
+        tokens, diags = _tokenize(text)
+        assert diags == []
+        assert [tuple(t) for t in tokens] == [
+            ("ident", "relation", 1, 1),
+            ("ident", "O1", 1, 10),
+            ("ident", "instance-of", 1, 13),
+            ("ident", "T_x", 1, 25),
+            ("ident", "degree", 1, 29),
+            ("number", 0.5, 1, 36),
+            ("punct", ";", 1, 38),
+            ("ident", "p1", 2, 1),
+            ("punct", ":", 2, 3),
+            ("string", 'say "hi"', 2, 5),
+            ("number", -2.0, 2, 18),
+            ("punct", "->", 2, 21),
+            ("number", -2.5, 2, 24),
+            ("punct", ";", 2, 31),
+            ("eof", None, 3, 1),
+        ]
+
+    @pytest.mark.parametrize("text, message, position", [
+        ('class T {\n  property p1 "oops = 4; }', "unterminated string", (2, 15)),
+        ('class T {\n  property p1 "P" = 4 @ ; }', "unexpected character '@'", (2, 23)),
+    ])
+    def test_error_positions(self, text, message, position):
+        tokens, diags = _tokenize(text)
+        assert [(d.severity, d.message, d.line, d.col) for d in diags] == [
+            ("error", message, *position)
+        ]
+        assert tuple(tokens[-1]) == ("eof", None, *position)  # tokenizing stops there
+        first = errors_of(text)[0]
+        assert (first.message, first.line, first.col) == (message, *position)
 
 
 class TestWarnings:

@@ -141,6 +141,12 @@ class TestEvaluateMethod:
         result = evaluate_method(polygon_like(), method)
         assert result.elements == ((0.9, 0.9), (1.0, 1.0), (1.05, 0.95))
 
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0])
+    def test_tolerance_must_be_finite_and_non_negative(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            eval_method(polygon_like(), "f1", tol)
+        assert len(eval_method(polygon_like(), "f1", 0.0).elements) == 3
+
 
 def perimeter_of(sides):
     return define_object("P", [

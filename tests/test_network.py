@@ -85,6 +85,47 @@ class TestConstruction:
         assert Network(0.0).tol == 0.0
 
 
+class TestRelationIndex:
+    def copy(self, net):
+        """A network sharing the entities, built the way a caller copies one:
+        fresh collections assigned attribute by attribute."""
+        out = Network(net.tol)
+        out.objects = dict(net.objects)
+        out.classes = dict(net.classes)
+        out.relations = list(net.relations)
+        out.history = dict(net.history)
+        return out
+
+    def test_assigned_relations_are_indexed(self, polygons):
+        polygons.apply_modifier("M1_Sq1", "Sq1")
+        n2 = self.copy(polygons)
+        assert n2.relations == polygons.relations
+        n2.add_relation("Rb1_2", "Sq1", "modification-of")  # exact duplicate: no-op
+        n2.add_relation("T_Sq", "T_Rb", "is-a")
+        assert n2.relations == polygons.relations
+        with pytest.raises(DuplicateName, match="different degree"):
+            n2.add_relation("Rb1", "T_Rb", "instance-of", 0.5)
+        assert n2.query_related("T_Pg", "a-kind-of", direction="in") == ["T_Rb", "T_Sq"]
+        assert n2.query_related("Sq1", "modification-of", direction="in") == ["Rb1_2"]
+        assert [r.target for r in n2.infer_relations() if r.source == "Rb1"] == ["T_Pg"]
+
+    def test_copy_grows_alone(self, polygons):
+        n2 = self.copy(polygons)
+        n2.add_relation("T_Pg", "T_Sq", "association", 0.5)
+        n2.add_relation("Rb1", "T_Sq", "instance-of", 0.5)
+        assert n2.query_related("T_Pg", "association") == ["T_Sq"]
+        assert polygons.query_related("T_Pg", "association") == []
+        assert polygons.query_related("T_Sq", "instance-of", direction="in") == ["Sq1"]
+        assert len(polygons.relations) == 5 and len(n2.relations) == 7
+        polygons.add_relation("Rb1", "T_Sq", "instance-of", 0.7)  # free on the original
+
+    def test_assignment_replaces_the_index(self, polygons):
+        polygons.relations = []
+        assert polygons.query_related("Rb1", "instance-of") == []
+        polygons.add_relation("Rb1", "T_Rb", "instance-of", 0.5)  # no stale degree
+        assert [str(r) for r in polygons.relations] == ["Rb1 instance-of T_Rb [0.5]"]
+
+
 class TestQueries:
     def test_is_fuzzy_witnesses(self, polygons):
         fuzzy, witnesses = polygons.is_fuzzy()

@@ -10,7 +10,8 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foodn.errors import DoesNotExist
+from foodn import fixture_path, load_file
+from foodn.errors import DoesNotExist, DuplicateName, FoodnError, KindMismatch, UnknownEndpoint
 from foodn.exploiters import (
     difference_op,
     intersection_op,
@@ -29,9 +30,9 @@ from foodn.model import (
     define_class,
     define_object,
 )
-from foodn.network import Network
+from foodn.network import RELATION_KINDS, Network
 from foodn.serialize import dumps, entity_to_doc, loads
-from oracles import oracle_extend
+from oracles import oracle_extend, oracle_insert, oracle_reach
 
 MANY = settings(max_examples=200, deadline=None)
 
@@ -229,3 +230,70 @@ def test_extension_of_linear_maps_preserves_degrees(fs, factor):
     assert result.degrees() == fs.degrees()
     for got, src in zip(result.supports(), fs.supports()):
         assert math.isclose(got, factor * src, rel_tol=0, abs_tol=1e-12)
+
+
+# -- the relation index against a linear scan ----------------------------------
+
+POLYGONS = str(fixture_path("polygons.foodn"))
+# the fixture's names, names its modifiers create, and a stranger
+NAMES = ["Rb1", "Sq1", "T_Rb", "T_Sq", "T_Pg", "Tr1", "T_Tr", "Rb1_2", "Sq1_2", "T_Rb_2", "Nope"]
+MODIFIERS = ["M1_T_Sq", "M2_T_Rb", "M1_T_Pg", "M1_T_Rb", "M1_Rb1", "M1_Sq1", "M2_Rb1"]
+KIND_SETS = [(k,) for k in RELATION_KINDS] + [("a-kind-of", "is-a"), RELATION_KINDS]
+DEGREES = [0.5, 1.0]
+
+network_steps = st.one_of(
+    st.tuples(st.just("add"), st.sampled_from(NAMES), st.sampled_from(NAMES),
+              st.sampled_from(RELATION_KINDS), st.sampled_from(DEGREES)),
+    st.tuples(st.just("again"), st.integers(0, 63), st.sampled_from(DEGREES)),
+    st.tuples(st.just("modify"), st.sampled_from(MODIFIERS), st.sampled_from(NAMES)),
+)
+
+
+def _live(net):
+    return set(net.objects) | set(net.classes)
+
+
+@MANY
+@given(steps=st.lists(network_steps, max_size=10))
+def test_relation_index_matches_linear_scan(steps):
+    net, _ = load_file(POLYGONS)
+    model = [(r.source, r.target, r.kind, r.degree) for r in net.relations]
+    for step in steps:
+        if step[0] == "modify":
+            _, modifier, name = step
+            before = _live(net)
+            try:
+                net.apply_modifier(modifier, name)
+                refused = False
+            except DuplicateName:
+                refused = True
+            except FoodnError:
+                continue  # refused before any change
+            (new,) = _live(net) - before
+            outcome = oracle_insert(model, (new, name, "modification-of", 1.0))
+            assert refused == (outcome == "conflict")
+        else:
+            if step[0] == "add":
+                _, source, target, kind, degree = step
+            else:
+                _, i, degree = step
+                source, target, kind, _ = model[i % len(model)]
+            try:
+                net.add_relation(source, target, kind, degree)
+                refused = False
+            except DuplicateName:
+                refused = True
+            except (UnknownEndpoint, KindMismatch):
+                refused = None
+            if refused is not None:
+                outcome = oracle_insert(model, (source, target, kind, degree))
+                assert refused == (outcome == "conflict")
+
+        assert [(r.source, r.target, r.kind, r.degree) for r in net.relations] == model
+        for name in _live(net) | set(net.history):
+            for kinds in KIND_SETS:
+                for direction in ("out", "in"):
+                    for transitive in (False, True):
+                        assert net.query_related(name, kinds, direction, transitive) == (
+                            oracle_reach(model, name, kinds, direction, transitive)
+                        )
