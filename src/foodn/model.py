@@ -18,7 +18,15 @@ from .errors import (
     ExtensionMissing,
     SemanticMismatch,
 )
-from .fuzzy import DEFAULT_TOL, FuzzySet, check_degree, format_fuzzy_set, format_number, t_norm
+from .fuzzy import (
+    DEFAULT_TOL,
+    FuzzySet,
+    check_degree,
+    check_tolerance,
+    format_fuzzy_set,
+    format_number,
+    t_norm,
+)
 
 # -- property values ----------------------------------------------------------
 
@@ -426,8 +434,10 @@ def membership_degree(obj: FuzzyObject, cls, tnorm: str = "min", tol: float = DE
     Intensional classes aggregate per-property compatibility with the chosen
     t-norm; a class property missing from the object scores 0 unless the
     class marks it absent.  Extensional classes test the member list.
-    Heterogeneous classes take the best projection.
+    Heterogeneous classes take the best projection.  The tolerance must
+    be a finite number >= 0 (ValueError otherwise).
     """
+    tol = check_tolerance(tol)
     if isinstance(cls, HeterogeneousClass):
         return max(membership_degree(obj, proj, tnorm, tol) for proj in cls.projections)
     if cls.mode == "extensional":

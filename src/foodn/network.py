@@ -26,6 +26,7 @@ from .errors import (
 )
 from .fuzzy import DEFAULT_TOL, check_degree, check_tolerance, format_number
 from .model import (
+    Absent,
     ClassSpec,
     FuzzyObject,
     HeterogeneousClass,
@@ -153,14 +154,20 @@ class Network:
         for relation in relations:
             self._insert(relation)
 
+    def _is_new(self, relation: Relation) -> bool:
+        """False for an exact duplicate, which set semantics make a no-op;
+        raises DuplicateName when the edge is present with another degree."""
+        existing = self._by_key.get((relation.source, relation.target, relation.kind))
+        if existing is None:
+            return True
+        if existing.degree == relation.degree:
+            return False
+        raise DuplicateName(f"relation {existing} already present with a different degree")
+
     def _insert(self, relation: Relation):
-        key = (relation.source, relation.target, relation.kind)
-        existing = self._by_key.get(key)
-        if existing is not None:
-            if existing.degree == relation.degree:
-                return  # set semantics: an exact duplicate is a no-op
-            raise DuplicateName(f"relation {existing} already present with a different degree")
-        self._by_key[key] = relation
+        if not self._is_new(relation):
+            return
+        self._by_key[(relation.source, relation.target, relation.kind)] = relation
         self._relations.append(relation)
         self._adjacency["out"][relation.kind].setdefault(relation.source, []).append(relation.target)
         self._adjacency["in"][relation.kind].setdefault(relation.target, []).append(relation.source)
@@ -270,14 +277,36 @@ class Network:
 
     def infer_relations(self, threshold: float = 0.0) -> list[Relation]:
         """Propose instance-of edges for object/class pairs whose membership
-        clears the threshold; nothing is added to the network."""
+        clears the threshold; nothing is added to the network.
+
+        Only pairs that can score above 0 are scored.  An intensional class
+        property that the object lacks, and that the class does not mark
+        absent, scores 0, and 0 absorbs every t-norm; so an object meets
+        such a class only when it carries all of the class's non-absent
+        property ids.  Extensional and heterogeneous classes are always
+        scored.
+        """
+        threshold = check_degree(threshold, "threshold")
+        required = []  # (name, class, ids an object must carry to score > 0)
+        for cname in sorted(self.classes):
+            cls = self.classes[cname]
+            if isinstance(cls, ClassSpec) and cls.mode == "intensional":
+                needs = frozenset(p.id for p in cls.specification if not isinstance(p.value, Absent))
+            else:
+                needs = frozenset()
+            required.append((cname, cls, needs))
+        candidates: dict[frozenset[str], list] = {}  # object's ids -> classes to score
         proposals = []
         for oname in sorted(self.objects):
-            for cname in sorted(self.classes):
+            obj = self.objects[oname]
+            ids = frozenset(p.id for p in obj.specification)
+            if ids not in candidates:
+                candidates[ids] = [(cname, cls) for cname, cls, needs in required if needs <= ids]
+            for cname, cls in candidates[ids]:
                 if (oname, cname, "instance-of") in self._by_key:
                     continue
                 try:
-                    degree = self.membership(oname, cname)
+                    degree = membership_degree(obj, cls, "min", self.tol)
                 except SemanticMismatch:
                     continue
                 if degree > 0.0 and degree >= threshold:
@@ -379,6 +408,8 @@ class Network:
             else:
                 result = replace(result, signature=donor.signature)
         result = replace(result, name=new_name)
+        edge = Relation(new_name, entity_name, "modification-of")
+        self._is_new(edge)  # a conflicting degree must fail here, not below
 
         # point of no return; nothing below can fail
         if kind == "object":
@@ -388,7 +419,7 @@ class Network:
             del self.classes[entity_name]
             self.classes[new_name] = result
         self.history[entity_name] = kind
-        self._append_relation(Relation(new_name, entity_name, "modification-of"))
+        self._append_relation(edge)
         self._record(modifier_name, (entity_name,), new_name, mod.changes)
 
         if kind == "object" and mod.target_class is not None:

@@ -3,6 +3,8 @@
 Deliberately written without any engine types: fuzzy sets are plain lists
 of (support, degree) pairs, enumeration is explicit recursion, grouping
 goes through a dict keyed by exact value followed by a tolerance merge.
+The one exception is oracle_infer, which checks which pairs the network
+scores, not how it scores them, and so takes membership_degree as given.
 """
 from __future__ import annotations
 
@@ -89,3 +91,26 @@ def oracle_reach(relations, start, kinds, direction, transitive):
             break
         frontier = following
     return sorted(found)
+
+
+def oracle_infer(net, threshold=0.0):
+    """infer_relations by scoring every object/class pair: the graded
+    instance-of edges not already present whose membership_degree (min
+    t-norm) is above 0 and at least *threshold*, pairs that raise
+    SemanticMismatch skipped, as (source, target, degree) in sorted order."""
+    from foodn.errors import SemanticMismatch
+    from foodn.model import membership_degree
+
+    present = {(r.source, r.target) for r in net.relations if r.kind == "instance-of"}
+    proposals = []
+    for oname in sorted(net.objects):
+        for cname in sorted(net.classes):
+            if (oname, cname) in present:
+                continue
+            try:
+                degree = membership_degree(net.objects[oname], net.classes[cname], "min", net.tol)
+            except SemanticMismatch:
+                continue
+            if degree > 0.0 and degree >= threshold:
+                proposals.append((oname, cname, degree))
+    return proposals

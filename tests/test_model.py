@@ -279,3 +279,10 @@ class TestMembership:
         het = HeterogeneousClass("U", (a, b))
         assert membership_degree(obj, a) == 0.0
         assert membership_degree(obj, het) == 1.0
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_tolerance_must_be_finite_and_non_negative(self, tol):
+        obj, cls = self.make_pair()
+        with pytest.raises(ValueError, match="tolerance"):
+            membership_degree(obj, cls, "min", tol)
+        assert membership_degree(obj, cls, "min", 0.0) == pytest.approx(0.8)

@@ -4,6 +4,7 @@ import pytest
 
 from foodn.errors import (
     ArityError,
+    DegreeOutOfRange,
     DoesNotExist,
     DuplicateName,
     KindMismatch,
@@ -22,10 +23,12 @@ from foodn.model import (
     TruthDegree,
     define_class,
     define_object,
+    membership_degree,
 )
 from foodn.modifiers import Change, define_modifier
 from foodn.network import Network, Relation
-from foodn.serialize import dumps
+from foodn.serialize import dumps, to_document
+from oracles import oracle_infer
 
 
 def small_network():
@@ -195,6 +198,30 @@ class TestQueries:
         assert ("Rb1", "T_Rb") not in pairs  # 0.8 is below the bar
         assert ("Sq1", "T_Rb") not in pairs  # membership 0
 
+    @pytest.mark.parametrize("threshold", [float("nan"), 2.0, -0.5, float("inf")])
+    def test_infer_threshold_must_be_a_degree(self, polygons, threshold):
+        with pytest.raises(DegreeOutOfRange, match="threshold"):
+            polygons.infer_relations(threshold)
+
+    def test_infer_scores_only_pairs_that_can_clear_zero(self, monkeypatch):
+        import foodn.network as network
+
+        net = small_network()
+        extra = Property("p9", "Extra", CrispNumber(3.0))
+        net.add(define_class("C3", [Property("p1", "Kind", CrispNumber(1.0)), extra]))
+        net.add(define_class("E", [extra], mode="extensional", extension=["O1"]))
+        scored = []
+
+        def counting(obj, cls, *args):
+            scored.append((obj.name, cls.name))
+            return membership_degree(obj, cls, *args)
+
+        monkeypatch.setattr(network, "membership_degree", counting)
+        proposals = net.infer_relations()
+        assert [(r.source, r.target, r.degree) for r in proposals] == oracle_infer(net)
+        # no object carries p9, so C3 is never scored; the extensional E is
+        assert scored == [(o, c) for o in ("O1", "O2") for c in ("C1", "C2", "E")]
+
 
 class TestExploiterApplication:
     def test_storage_and_provenance(self, polygons):
@@ -287,6 +314,16 @@ class TestModifierApplication:
         with pytest.raises(NotApplicable):
             polygons.apply_modifier("M2_Rb1", "Sq1")
         assert dumps(polygons) == before
+
+    def test_conflicting_modification_edge_fails_before_any_change(self, polygons):
+        # M2_Rb1 rebinds the retired name Sq1, and an edge Sq1 -> Rb1 with
+        # another degree is already there
+        polygons.apply_modifier("M1_Sq1", "Sq1")
+        polygons.add_relation("Sq1", "Rb1", "modification-of", 0.5)
+        before = to_document(polygons)
+        with pytest.raises(DuplicateName, match="different degree"):
+            polygons.apply_modifier("M2_Rb1", "Rb1")
+        assert to_document(polygons) == before
 
     def test_unknown_names(self, polygons):
         with pytest.raises(UnknownModifier):

@@ -20,10 +20,12 @@ from foodn.exploiters import (
 )
 from foodn.fuzzy import extend, make_fuzzy_set
 from foodn.model import (
+    Absent,
     Binding,
     CrispNumber,
     Fuzzy,
     FuzzyMarker,
+    HeterogeneousClass,
     MethodDef,
     Property,
     TruthDegree,
@@ -32,7 +34,7 @@ from foodn.model import (
 )
 from foodn.network import RELATION_KINDS, Network
 from foodn.serialize import dumps, entity_to_doc, loads
-from oracles import oracle_extend, oracle_insert, oracle_reach
+from oracles import oracle_extend, oracle_infer, oracle_insert, oracle_reach
 
 MANY = settings(max_examples=200, deadline=None)
 
@@ -297,3 +299,69 @@ def test_relation_index_matches_linear_scan(steps):
                         assert net.query_related(name, kinds, direction, transitive) == (
                             oracle_reach(model, name, kinds, direction, transitive)
                         )
+
+
+# -- inferred relations against scoring every pair -----------------------------
+
+# crisp 0/1 and graded values, so that many pairs score above 0
+infer_object_values = st.one_of(
+    st.sampled_from([CrispNumber(0.0), CrispNumber(1.0)]),
+    st.integers(1, 9).map(lambda n: TruthDegree(n / 10.0)),
+)
+infer_class_values = st.one_of(
+    st.sampled_from([CrispNumber(0.0), CrispNumber(1.0), FuzzyMarker(), Absent(), Absent()]),
+    st.integers(1, 9).map(lambda n: TruthDegree(n / 10.0)),
+)
+
+
+@st.composite
+def some_properties(draw, values):
+    """Properties over a subset of PROP_POOL's ids; now and then a property
+    carries another semantic than its id has elsewhere."""
+    picks = draw(st.lists(st.sampled_from(range(len(PROP_POOL))),
+                          max_size=len(PROP_POOL), unique=True))
+    return [Property(PROP_POOL[i][0],
+                     draw(st.sampled_from([PROP_POOL[i][1]] * 5 + ["Other"])),
+                     draw(values))
+            for i in sorted(picks)]
+
+
+@st.composite
+def infer_network(draw):
+    net = Network()
+    object_names = [f"O{i}" for i in range(draw(st.integers(1, 5)))]
+    for name in object_names:
+        net.add(define_object(name, draw(some_properties(infer_object_values))))
+
+    def plain_class(name):
+        props = draw(some_properties(infer_class_values))
+        if draw(st.integers(0, 3)) == 0:
+            members = draw(st.lists(st.sampled_from(object_names), min_size=1, unique=True))
+            return define_class(name, props, mode="extensional", extension=members)
+        return define_class(name, props, [] if props else [METHOD])
+
+    class_names = [f"C{i}" for i in range(draw(st.integers(1, 5)))]
+    for name in class_names:
+        if draw(st.integers(0, 3)) == 0:
+            net.add(HeterogeneousClass(name, tuple(
+                plain_class(f"{name}_{j}") for j in range(draw(st.integers(2, 3)))
+            )))
+        else:
+            net.add(plain_class(name))
+    pairs = draw(st.sets(st.tuples(st.sampled_from(object_names),
+                                   st.sampled_from(class_names)), max_size=4))
+    for source, target in sorted(pairs):
+        net.add_relation(source, target, "instance-of", draw(st.integers(1, 10)) / 10.0)
+    return net
+
+
+@MANY
+@given(net=infer_network(),
+       threshold=st.one_of(st.integers(0, 10).map(lambda n: n / 10.0), st.floats(0.0, 1.0)))
+def test_infer_relations_matches_scoring_every_pair(net, threshold):
+    before = [(r.source, r.target, r.kind, r.degree) for r in net.relations]
+    proposals = net.infer_relations(threshold)
+    assert all(r.kind == "instance-of" for r in proposals)
+    assert [(r.source, r.target, r.degree) for r in proposals] == oracle_infer(net, threshold)
+    assert [(r.source, r.target, r.kind, r.degree) for r in net.relations] == before
+
