@@ -1,8 +1,9 @@
 """Time the evaluation kernel on its own.
 
-Runs a few representative method bodies, without sum(), over fuzzy inputs
-of growing size, so every case enumerates the full product of its
-variables' supports, and reports the best wall time per call.  Usage:
+Compiles a few representative method bodies, without sum(), to their
+closures and runs them over fuzzy inputs of growing size, so every case
+enumerates the full product of its variables' supports, and reports the
+best wall time per call.  Usage:
 
     python benchmarks/bench_kernel.py [--repeat 7] [--calls 20]
 """
@@ -35,15 +36,7 @@ def build_inputs(n_vars: int, n_supports: int):
 
 
 def bench(fn, program, supports, degrees, repeat: int, calls: int) -> float:
-    run = lambda: fn(  # noqa: E731 - tiny timing closure
-        program.codes,
-        program.operands,
-        program.consts,
-        program.max_stack,
-        supports,
-        degrees,
-        1e-9,
-    )
+    run = lambda: fn(program, supports, degrees, 1e-9)  # noqa: E731 - tiny timing closure
     times = timeit.repeat(run, number=calls, repeat=repeat)
     return min(times) / calls
 

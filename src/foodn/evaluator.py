@@ -1,8 +1,8 @@
 """Method evaluation over fuzzy-valued properties.
 
-A method body is compiled once per MethodDef to a small stack program with
-one slot per binding; each slot carries the supports and degrees of its
-value (crisp values are one-point supports at degree 1).  The kernel
+A method body is compiled once per MethodDef to a Python function of one
+slot per binding; each slot carries the supports and degrees of its value
+(crisp values are one-point supports at degree 1).  The kernel
 enumerates all support combinations, so a variable bound once names one
 quantity no matter how often the body mentions it.
 
@@ -17,10 +17,11 @@ sums rather than with the product of the members' supports.
 from __future__ import annotations
 
 import weakref
+from collections.abc import Callable
 
 from . import kernel as _kernel
 from .errors import UnknownMethod, UnresolvedBinding
-from .expr import Bin, Call, Expr, Neg, Program, Var, compile_program, parse_expr
+from .expr import Bin, Call, Expr, Neg, Var, compile_program, parse_expr
 from .fuzzy import DEFAULT_TOL, FuzzySet, check_tolerance
 from .model import (
     Binding,
@@ -35,7 +36,7 @@ from .model import (
 _ADD = compile_program(Bin("+", Var("x"), Var("y")), {"x": 0, "y": 1})
 
 # Compiled bodies, kept only as long as their MethodDef is alive.
-_PROGRAMS: weakref.WeakKeyDictionary[MethodDef, Program] = weakref.WeakKeyDictionary()
+_PROGRAMS: weakref.WeakKeyDictionary[MethodDef, Callable] = weakref.WeakKeyDictionary()
 
 
 def resolve_binding(entity, binding: Binding):
@@ -108,7 +109,7 @@ def _check_families(node: Expr, families: set[str]) -> None:
         _check_families(node.arg, families)
 
 
-def _program(method: MethodDef) -> Program:
+def _program(method: MethodDef) -> Callable:
     """The method's body compiled with one slot per binding, in binding order."""
     program = _PROGRAMS.get(method)
     if program is None:
@@ -117,13 +118,6 @@ def _program(method: MethodDef) -> Program:
         slots = {b.var: i for i, b in enumerate(method.bindings)}
         program = _PROGRAMS[method] = compile_program(ast, slots)
     return program
-
-
-def _run(program: Program, supports, degrees, tol: float):
-    return _kernel.eval_program(
-        program.codes, program.operands, program.consts, program.max_stack,
-        supports, degrees, tol,
-    )
 
 
 def _column(value):
@@ -138,7 +132,7 @@ def _fold_sum(parts, tol: float):
     supports, degrees = _column(parts[0])
     for part in parts[1:]:
         s, d = _column(part)
-        supports, degrees = _run(_ADD, [supports, s], [degrees, d], tol)
+        supports, degrees = _kernel.eval_program(_ADD, [supports, s], [degrees, d], tol)
     return supports, degrees
 
 
@@ -157,7 +151,7 @@ def evaluate_method(entity, method: MethodDef, tol: float = DEFAULT_TOL):
         supports.append(s)
         degrees.append(d)
 
-    values, degs = _run(_program(method), supports, degrees, tol)
+    values, degs = _kernel.eval_program(_program(method), supports, degrees, tol)
     if not any_fuzzy:
         return values[0]
     return FuzzySet(tuple(zip(values, degs)), method.result_unit)

@@ -1,4 +1,4 @@
-"""Method-body expressions: AST, parser, and RPN compiler.
+"""Method-body expressions: AST, parser, and closure compiler.
 
 Grammar (no implicit multiplication):
 
@@ -13,29 +13,22 @@ Grammar (no implicit multiplication):
 so "^" binds tighter than unary minus, which binds tighter than "*" and "/".
 Trigonometric functions take angles in degrees.  ``sum(v)`` adds up an
 indexed family bound to ``v``; the evaluator folds the family into v's
-slot, so the compiled program reads ``sum(v)`` as that slot.
+slot, so the compiled body reads ``sum(v)`` as that slot.
 """
 from __future__ import annotations
 
+import math
+import operator
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from .errors import ExprSyntaxError
+from .errors import EvaluationError, ExprSyntaxError
 
 FUNCTIONS = ("sin", "cos", "sqrt")
 
-# Opcodes the kernel runs.
-OP_CONST = 0   # push consts[operand]
-OP_VAR = 1     # push current support of variable slot operand
-OP_ADD = 2
-OP_SUB = 3
-OP_MUL = 4
-OP_DIV = 5
-OP_POW = 6
-OP_NEG = 7
-OP_SIN = 8     # argument in degrees
-OP_COS = 9     # argument in degrees
-OP_SQRT = 10
+# The deepest body parse_expr accepts, in nesting levels or tree height.
+MAX_DEPTH = 100
 
 
 class Expr:
@@ -120,10 +113,18 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    """Recursive descent; every rule returns (node, height of its tree).
+
+    Bodies deeper than MAX_DEPTH are refused, counting both the parser's own
+    recursion and the height of the tree it builds, so neither parsing nor
+    any later walk over the tree comes near Python's recursion limit.
+    """
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.level = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -139,52 +140,66 @@ class _Parser:
             raise ExprSyntaxError(f"expected {op!r}", pos)
         return self.take()
 
+    def deeper(self, depth: int, pos: int) -> int:
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", pos)
+        return depth
+
+    def nested(self, rule, pos: int):
+        """Run *rule* one level further down the parser's own recursion."""
+        self.level = self.deeper(self.level + 1, pos)
+        result = rule()
+        self.level -= 1
+        return result
+
     def parse(self) -> Expr:
-        node = self.expr()
+        node, _ = self.expr()
         kind, value, pos = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"unexpected {value!r}", pos)
         return node
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def expr(self):
+        node, height = self.term()
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.take()
-                node = Bin(value, node, self.term())
-            else:
-                return node
+            kind, value, pos = self.peek()
+            if kind != "op" or value not in "+-":
+                return node, height
+            self.take()
+            right, rh = self.term()
+            node, height = Bin(value, node, right), self.deeper(max(height, rh) + 1, pos)
 
-    def term(self) -> Expr:
-        node = self.unary()
+    def term(self):
+        node, height = self.unary()
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.take()
-                node = Bin(value, node, self.unary())
-            else:
-                return node
+            kind, value, pos = self.peek()
+            if kind != "op" or value not in "*/":
+                return node, height
+            self.take()
+            right, rh = self.unary()
+            node, height = Bin(value, node, right), self.deeper(max(height, rh) + 1, pos)
 
-    def unary(self) -> Expr:
-        kind, value, _ = self.peek()
+    def unary(self):
+        kind, value, pos = self.peek()
         if kind == "op" and value == "-":
             self.take()
-            return Neg(self.unary())
+            node, height = self.nested(self.unary, pos)
+            return Neg(node), self.deeper(height + 1, pos)
         return self.power()
 
-    def power(self) -> Expr:
-        node = self.atom()
-        kind, value, _ = self.peek()
+    def power(self):
+        node, height = self.atom()
+        kind, value, pos = self.peek()
         if kind == "op" and value == "^":
             self.take()
-            return Bin("^", node, self.unary())
-        return node
+            right, rh = self.nested(self.unary, pos)
+            return Bin("^", node, right), self.deeper(max(height, rh) + 1, pos)
+        return node, height
 
-    def atom(self) -> Expr:
+    def atom(self):
         kind, value, pos = self.take()
         if kind == "num":
-            return Num(value)
+            return Num(value), 0
         if kind == "ident":
             nk, nv, _ = self.peek()
             if nk == "op" and nv == "(":
@@ -194,18 +209,18 @@ class _Parser:
                     if ik != "ident":
                         raise ExprSyntaxError("sum() takes a variable name", ip)
                     self.expect_op(")")
-                    return Sum(iv)
+                    return Sum(iv), 0
                 if value not in FUNCTIONS:
                     raise ExprSyntaxError(f"unknown function {value!r}", pos)
                 self.take()
-                arg = self.expr()
+                arg, height = self.nested(self.expr, pos)
                 self.expect_op(")")
-                return Call(value, arg)
-            return Var(value)
+                return Call(value, arg), self.deeper(height + 1, pos)
+            return Var(value), 0
         if kind == "op" and value == "(":
-            node = self.expr()
+            node, height = self.nested(self.expr, pos)
             self.expect_op(")")
-            return node
+            return node, height
         shown = "end of input" if kind == "end" else repr(value)
         raise ExprSyntaxError(f"expected a value, got {shown}", pos)
 
@@ -215,54 +230,55 @@ def parse_expr(text: str) -> Expr:
     return _Parser(text).parse()
 
 
-_BIN_OPS = {"+": OP_ADD, "-": OP_SUB, "*": OP_MUL, "/": OP_DIV, "^": OP_POW}
-_CALL_OPS = {"sin": OP_SIN, "cos": OP_COS, "sqrt": OP_SQRT}
+_DEG = math.pi / 180.0
 
 
-@dataclass(frozen=True)
-class Program:
-    """A compiled body: straight-line RPN over numbered variable slots."""
-
-    codes: tuple[int, ...]
-    operands: tuple[int, ...]
-    consts: tuple[float, ...]
-    n_vars: int
-    max_stack: int
+def _pow(x: float, y: float) -> float:
+    try:
+        return math.pow(x, y)
+    except (ValueError, OverflowError) as exc:
+        raise EvaluationError(f"power failed at a support combination: {exc}") from exc
 
 
-def compile_program(expr: Expr, var_slots: dict[str, int]) -> Program:
-    """Flatten *expr* to RPN; every Var and sum() variable must have a slot."""
-    codes: list[int] = []
-    operands: list[int] = []
-    consts: list[float] = []
+def _sqrt(x: float) -> float:
+    try:
+        return math.sqrt(x)
+    except ValueError as exc:
+        raise EvaluationError(f"sqrt failed at a support combination: {exc}") from exc
 
-    def emit(expr: Expr) -> int:
-        if isinstance(expr, Num):
-            codes.append(OP_CONST)
-            operands.append(len(consts))
-            consts.append(float(expr.value))
-            return 1
-        if isinstance(expr, (Var, Sum)):
-            codes.append(OP_VAR)
-            operands.append(var_slots[expr.name if isinstance(expr, Var) else expr.var])
-            return 1
-        if isinstance(expr, Neg):
-            depth = emit(expr.operand)
-            codes.append(OP_NEG)
-            operands.append(0)
-            return depth
-        if isinstance(expr, Bin):
-            left = emit(expr.left)
-            right = emit(expr.right)
-            codes.append(_BIN_OPS[expr.op])
-            operands.append(0)
-            return max(left, 1 + right)
-        if isinstance(expr, Call):
-            depth = emit(expr.arg)
-            codes.append(_CALL_OPS[expr.func])
-            operands.append(0)
-            return depth
-        raise TypeError(f"not an expression node: {expr!r}")
 
-    depth = emit(expr)
-    return Program(tuple(codes), tuple(operands), tuple(consts), len(var_slots), depth)
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": _pow}
+_CALLS = {
+    "sin": lambda x: math.sin(x * _DEG),  # angles in degrees
+    "cos": lambda x: math.cos(x * _DEG),
+    "sqrt": _sqrt,
+}
+
+
+def compile_program(expr: Expr, var_slots: dict[str, int]) -> Callable[[tuple[float, ...]], float]:
+    """Compile *expr* to a function of the tuple of slot values.
+
+    Every Var and sum() variable must have a slot.  The function is a tree
+    of closures, one per node.  A zero divisor raises ZeroDivisionError and
+    sin/cos of an infinite value raise ValueError; the kernel reports both
+    as EvaluationError.
+    """
+
+    def build(node: Expr):
+        if isinstance(node, Num):
+            value = float(node.value)
+            return lambda xs: value
+        if isinstance(node, (Var, Sum)):
+            return operator.itemgetter(var_slots[node.name if isinstance(node, Var) else node.var])
+        if isinstance(node, Neg):
+            operand = build(node.operand)
+            return lambda xs: -operand(xs)
+        if isinstance(node, Bin):
+            op, left, right = _BINARY[node.op], build(node.left), build(node.right)
+            return lambda xs: op(left(xs), right(xs))
+        if isinstance(node, Call):
+            func, arg = _CALLS[node.func], build(node.arg)
+            return lambda xs: func(arg(xs))
+        raise TypeError(f"not an expression node: {node!r}")
+
+    return build(expr)

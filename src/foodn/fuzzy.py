@@ -11,7 +11,6 @@ and round-trips through :func:`format_fuzzy_set` / :func:`parse_fuzzy_set`.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -199,17 +198,6 @@ def fs_intersection(a: FuzzySet, b: FuzzySet, tnorm: str = "min", tol: float = D
     return fs_combine(a, b, tnorm, tol)
 
 
-def _apply_crisp(f, args):
-    try:
-        value = f(*args)
-    except (ArithmeticError, ValueError) as exc:
-        raise EvaluationError(f"function application failed: {exc}") from exc
-    value = float(value)
-    if not math.isfinite(value):
-        raise EvaluationError(f"function produced non-finite value {value!r}")
-    return value
-
-
 def extend(f, args, tol: float = DEFAULT_TOL):
     """Lift a crisp function over fuzzy arguments.
 
@@ -217,31 +205,20 @@ def extend(f, args, tol: float = DEFAULT_TOL):
     degree is the min of the participating degrees, and equal outputs (within
     *tol*) keep the max degree.  Crisp (float) arguments pass through with
     degree 1, and an all-crisp call returns a bare float.  Units on fuzzy
-    arguments are ignored here; the caller declares the result's unit.
+    arguments are ignored here; the caller declares the result's unit.  The
+    enumeration is the evaluation kernel's, with its errors.
     """
+    from ._pykernel import eval_program  # _pykernel imports merge_pairs from here
+
     args = list(args)
     if not args:
         raise EmptyInput("extension needs at least one argument")
-    if all(not isinstance(a, FuzzySet) for a in args):
-        return _apply_crisp(f, [float(a) for a in args])
-
-    axes = []
-    count = 1
-    for a in args:
-        if isinstance(a, FuzzySet):
-            axes.append(a.elements)
-        else:
-            axes.append(((float(a), 1.0),))
-        count *= len(axes[-1])
-    if count > MAX_COMBINATIONS:
-        raise EvaluationError(f"{count} support combinations exceed the enumeration limit")
-
-    pairs = []
-    for combo in itertools.product(*axes):
-        value = _apply_crisp(f, [s for s, _ in combo])
-        degree = min(d for _, d in combo)
-        pairs.append((value, degree))
-    return FuzzySet(merge_pairs(pairs, tol))
+    supports = [a.supports() if isinstance(a, FuzzySet) else (float(a),) for a in args]
+    degrees = [a.degrees() if isinstance(a, FuzzySet) else (1.0,) for a in args]
+    values, degs = eval_program(lambda xs: f(*xs), supports, degrees, tol)
+    if not any(isinstance(a, FuzzySet) for a in args):
+        return values[0]
+    return FuzzySet(tuple(zip(values, degs)))
 
 
 def format_fuzzy_set(fs: FuzzySet) -> str:

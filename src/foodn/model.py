@@ -25,6 +25,7 @@ from .fuzzy import (
     check_tolerance,
     format_fuzzy_set,
     format_number,
+    fs_equal,
     t_norm,
 )
 
@@ -248,18 +249,12 @@ def value_equivalent(a, b, tol: float = DEFAULT_TOL) -> bool:
     if isinstance(a, (FuzzyMarker, Absent)):
         return True
     if isinstance(a, Fuzzy):
-        return _fs_equal(a.value, b.value, tol)
+        return fs_equal(a.value, b.value, tol)
     if isinstance(a, FuzzyTuple):
         return len(a.values) == len(b.values) and all(
-            _fs_equal(x, y, tol) for x, y in zip(a.values, b.values)
+            fs_equal(x, y, tol) for x, y in zip(a.values, b.values)
         )
     raise TypeError(f"not a property value: {a!r}")
-
-
-def _fs_equal(a: FuzzySet, b: FuzzySet, tol: float) -> bool:
-    from .fuzzy import fs_equal
-
-    return fs_equal(a, b, tol)
 
 
 def property_equivalent(a: Property, b: Property, tol: float = DEFAULT_TOL) -> bool:

@@ -8,6 +8,8 @@ scores, not how it scores them, and so takes membership_degree as given.
 """
 from __future__ import annotations
 
+import math
+
 
 def oracle_extend(f, args, tol=1e-9):
     """Brute-force lifting of *f* over fuzzy arguments.
@@ -50,6 +52,50 @@ def oracle_extend(f, args, tol=1e-9):
         else:
             merged.append([value, degree])
     return [(v, d) for v, d in merged if d > 0.0]
+
+
+def oracle_body(tree, names):
+    """A method body given as a tuple tree, as a plain function of *names*.
+
+    Nodes are ("num", x), ("var", name), ("neg", t), ("bin", op, l, r) with
+    op one of + - * / ^, and ("call", f, t) with f one of sin, cos (degrees)
+    and sqrt.  "^" is math.pow.  Every failure a body can meet raises
+    ArithmeticError or ValueError: a zero divisor, a math domain or range
+    error, and a final result that is not finite.
+    """
+
+    def value(node, env):
+        kind = node[0]
+        if kind == "num":
+            return node[1]
+        if kind == "var":
+            return env[node[1]]
+        if kind == "neg":
+            return -value(node[1], env)
+        if kind == "call":
+            x = value(node[2], env)
+            if node[1] == "sqrt":
+                return math.sqrt(x)
+            return (math.sin if node[1] == "sin" else math.cos)(math.radians(x))
+        _, op, left, right = node
+        x, y = value(left, env), value(right, env)
+        if op == "+":
+            return x + y
+        if op == "-":
+            return x - y
+        if op == "*":
+            return x * y
+        if op == "/":
+            return x / y
+        return math.pow(x, y)
+
+    def f(*values):
+        out = value(tree, dict(zip(names, values)))
+        if not math.isfinite(out):
+            raise OverflowError(f"non-finite result {out!r}")
+        return out
+
+    return f
 
 
 def oracle_insert(relations, relation):

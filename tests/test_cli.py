@@ -181,6 +181,29 @@ class TestExitCodes:
         assert out == ""
         assert f"{path}:2:15: error:" in err
 
+    def test_overflowed_trig_argument_is_1(self, tmp_path):
+        path = tmp_path / "trig.foodn"
+        path.write_text(
+            'object O {\n'
+            '  p "P" = 1e308;\n'
+            '  q "Q" = 10;\n'
+            '  method f "F" = "sin(a*b)" bind a = p, b = q;\n'
+            '}\n'
+        )
+        code, out, err = run_cli("eval", "--in", str(path), "O", "f")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_too_deep_method_body_is_2(self, tmp_path):
+        path = tmp_path / "deep.foodn"
+        body = "+".join(["a"] * 2000)
+        path.write_text(f'object O {{\n  p "P" = 1;\n  method f "F" = "{body}" bind a = p;\n}}\n')
+        code, out, err = run_cli("load", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert "deeper than" in err
+        assert "Traceback" not in err
+
     def test_corrupt_json_is_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -6,6 +6,7 @@ import pytest
 
 from foodn.errors import ExprSyntaxError
 from foodn.expr import (
+    MAX_DEPTH,
     Bin,
     Call,
     Neg,
@@ -26,10 +27,7 @@ def crisp(expr_text, **values):
     program = compile_program(ast, slots)
     supports = [[float(values[name])] for name in values]
     degrees = [[1.0] for _ in values]
-    out, degs = eval_program(
-        program.codes, program.operands, program.consts, program.max_stack,
-        supports, degrees, 1e-9,
-    )
+    out, degs = eval_program(program, supports, degrees, 1e-9)
     assert degs == [1.0]
     return out[0]
 
@@ -76,6 +74,48 @@ class TestParsing:
 
     def test_free_vars(self):
         assert free_vars(parse_expr("a^2*sin(alpha)+sum(s)")) == {"a", "alpha", "s"}
+
+
+class TestDepth:
+    """Bodies deeper than MAX_DEPTH are syntax errors, not RecursionErrors."""
+
+    @pytest.mark.parametrize("text", [
+        "+".join(["a"] * 2000),
+        "*".join(["a"] * 2000),
+        "(" * 2000 + "a" + ")" * 2000,
+        "-" * 2000 + "a",
+        "^".join(["a"] * 2000),
+        "sin(" * 2000 + "a" + ")" * 2000,
+    ], ids=["sum", "product", "parentheses", "negation", "power", "call"])
+    def test_deep_bodies_are_refused(self, text):
+        with pytest.raises(ExprSyntaxError, match="deeper than"):
+            parse_expr(text)
+
+    def test_error_points_where_the_limit_is_crossed(self):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr("+".join(["a"] * (MAX_DEPTH + 2)))
+        assert info.value.position == 2 * MAX_DEPTH + 1  # the (MAX_DEPTH + 1)th "+"
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr("(" * (MAX_DEPTH + 1) + "a" + ")" * (MAX_DEPTH + 1))
+        assert info.value.position == MAX_DEPTH
+
+    def test_mixed_nesting_counts_the_tree_height(self):
+        # each level is shallow on its own, the tree is not
+        run = "+".join(["a"] * 20)
+        text = "a"
+        for _ in range(10):
+            text = f"({text})+{run}"
+        with pytest.raises(ExprSyntaxError, match="deeper than"):
+            parse_expr(text)
+
+    @pytest.mark.parametrize("text, value", [
+        ("+".join(["a"] * (MAX_DEPTH + 1)), MAX_DEPTH + 1),
+        ("(" * MAX_DEPTH + "a" + ")" * MAX_DEPTH, 1),
+        ("-" * MAX_DEPTH + "a", (-1) ** MAX_DEPTH),
+        ("a+(" * (MAX_DEPTH - 1) + "a" + ")" * (MAX_DEPTH - 1), MAX_DEPTH),
+    ], ids=["sum", "parentheses", "negation", "right-nested"])
+    def test_bodies_at_the_limit_evaluate(self, text, value):
+        assert crisp(text, a=1) == value
 
 
 class TestEvaluation:

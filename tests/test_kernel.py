@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from foodn.errors import EvaluationError
 from foodn.expr import compile_program, parse_expr
 from foodn.kernel import eval_program
-from oracles import oracle_extend
+from oracles import oracle_body, oracle_extend
 
 
 def program_for(text, names):
@@ -22,8 +22,7 @@ def program_for(text, names):
 def run(prog, columns, tol=1e-9):
     supports = [[s for s, _ in col] for col in columns]
     degrees = [[d for _, d in col] for col in columns]
-    return eval_program(prog.codes, prog.operands, prog.consts, prog.max_stack,
-                        supports, degrees, tol)
+    return eval_program(prog, supports, degrees, tol)
 
 
 column = st.lists(
@@ -103,6 +102,14 @@ class TestParity:
         with pytest.raises(EvaluationError, match="non-finite"):
             run(prog, cols)
 
+    @pytest.mark.parametrize("func", ["sin", "cos"])
+    def test_trig_of_overflowed_intermediate_parity(self, func):
+        # a*b overflows to inf, and sin/cos of inf is a domain error
+        prog = program_for(f"{func}(a*b)", ("a", "b"))
+        cols = [[(1e308, 1.0)], [(10.0, 1.0)]]
+        with pytest.raises(EvaluationError, match="math domain error"):
+            run(prog, cols)
+
     def test_empty_support_parity(self):
         prog = program_for("a+b", ("a", "b"))
         cols = [[(1.0, 1.0)], []]
@@ -123,3 +130,58 @@ class TestParity:
         values, degs = run(prog, cols)
         assert values == [1.0, 2.0, 3.0]
         assert degs == [0.4, 0.9, 0.6]
+
+
+NAMES = ("a", "b", "c")
+
+
+def body_trees(depth):
+    """Tuple trees (see oracles.oracle_body) of at most *depth* levels."""
+    leaf = st.one_of(
+        st.sampled_from(NAMES).map(lambda name: ("var", name)),
+        st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 10.0]).map(lambda x: ("num", x)),
+    )
+    if depth == 0:
+        return leaf
+    sub = body_trees(depth - 1)
+    return st.one_of(
+        leaf,
+        st.tuples(st.just("neg"), sub),
+        st.tuples(st.just("bin"), st.sampled_from("+-*/^"), sub, sub),
+        st.tuples(st.just("call"), st.sampled_from(["sin", "cos", "sqrt"]), sub),
+    )
+
+
+def render(tree):
+    """Body text for a tuple tree, every compound node in parentheses."""
+    kind = tree[0]
+    if kind == "num":
+        return repr(tree[1])
+    if kind == "var":
+        return tree[1]
+    if kind == "neg":
+        return f"(-{render(tree[1])})"
+    if kind == "call":
+        return f"{tree[1]}({render(tree[2])})"
+    _, op, left, right = tree
+    return f"({render(left)}{op}{render(right)})"
+
+
+class TestRandomBodies:
+    """Random bodies through parse, compile and kernel against the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tree=body_trees(5), columns=st.tuples(column, column, column))
+    def test_kernel_matches_tree_oracle(self, tree, columns):
+        prog = program_for(render(tree), NAMES)
+        try:
+            expected = oracle_extend(oracle_body(tree, NAMES), list(columns))
+        except (ArithmeticError, ValueError):
+            with pytest.raises(EvaluationError):
+                run(prog, columns)
+            return
+        values, degs = run(prog, columns)
+        assert len(values) == len(expected)
+        for got, degree, (want, want_degree) in zip(values, degs, expected):
+            assert abs(got - want) <= 1e-9
+            assert degree == want_degree

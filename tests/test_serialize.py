@@ -152,6 +152,13 @@ class TestNetworkDocs:
         with pytest.raises(CorruptDocument):
             from_document(doc)
 
+    def test_too_deep_method_body_is_corrupt(self, polygons):
+        doc = to_document(polygons)
+        [rb1] = [o for o in doc["objects"] if o["name"] == "Rb1"]
+        rb1["methods"][0]["body"] = "+".join(["a"] * 2000)
+        with pytest.raises(CorruptDocument, match="deeper than"):
+            loads(json.dumps(doc))
+
     def test_load_file_dispatch(self, polygons, tmp_path):
         json_path = tmp_path / "net.json"
         save_file(polygons, str(json_path))
