@@ -270,6 +270,23 @@ class _Parser:
                     return
             self.take()
 
+    def members(self, member):
+        """Parse '{ member* }', calling *member* once per member.  A member
+        that fails is reported at its first token, and parsing resumes after
+        it, whether or not it got as far as its ';'."""
+        self.expect("punct", "{")
+        while not self.at("punct", "}") and not self.at("eof"):
+            start = self.i
+            try:
+                member()
+            except (_Bail, FoodnError, ValueError) as exc:
+                if not isinstance(exc, _Bail):  # a model constructor refused the member
+                    tok = self.tokens[start]
+                    self.diags.append(ParseDiagnostic("error", str(exc), tok.line, tok.col))
+                if self.i == start or self.tokens[self.i - 1][:2] != ("punct", ";"):
+                    self.sync_item()
+        self.expect("punct", "}")
+
     def sync_statement(self):
         """Skip to the next plausible statement start."""
         depth = 0
@@ -489,31 +506,26 @@ class _Parser:
         if self.at("ident", "extensional"):
             self.take()
             extensional = True
-        self.expect("punct", "{")
         properties, methods, extension = [], [], []
-        while not self.at("punct", "}") and not self.at("eof"):
-            try:
-                if self.at("ident", "property"):
-                    properties.append(self.property_decl())
-                elif self.at("ident", "method"):
-                    methods.append(self.method_decl())
-                elif self.at("ident", "extension"):
-                    self.take()
-                    while True:
-                        extension.append(self.ident("a member name"))
-                        if self.at("punct", ","):
-                            self.take()
-                            continue
-                        break
-                    self.expect("punct", ";")
-                else:
-                    self.error("expected property, method or extension")
-            except _Bail:
-                self.sync_item()
-            except (FoodnError, ValueError) as exc:
-                self.diags.append(ParseDiagnostic("error", str(exc), tok.line, tok.col))
-                self.sync_item()
-        self.expect("punct", "}")
+
+        def member():
+            if self.at("ident", "property"):
+                properties.append(self.property_decl())
+            elif self.at("ident", "method"):
+                methods.append(self.method_decl())
+            elif self.at("ident", "extension"):
+                self.take()
+                while True:
+                    extension.append(self.ident("a member name"))
+                    if self.at("punct", ","):
+                        self.take()
+                        continue
+                    break
+                self.expect("punct", ";")
+            else:
+                self.error("expected property, method or extension")
+
+        self.members(member)
         self.statements.append(_ClassStmt(name, extensional, properties, methods, extension, tok))
 
     def object_def(self):
@@ -523,26 +535,21 @@ class _Parser:
         if self.at("punct", ":"):
             self.take()
             declared = self.ident("a class name")
-        self.expect("punct", "{")
         items, methods = [], []
-        while not self.at("punct", "}") and not self.at("eof"):
-            try:
-                if self.at("ident", "method"):
-                    methods.append(self.method_decl())
-                    continue
-                item_tok = self.peek()
-                pid = self.ident("a property id")
-                semantic = self.take().value if self.at("string") else None
-                self.expect("punct", "=")
-                value = self.value()
-                self.expect("punct", ";")
-                items.append((pid, semantic, value, item_tok))
-            except _Bail:
-                self.sync_item()
-            except (FoodnError, ValueError) as exc:
-                self.diags.append(ParseDiagnostic("error", str(exc), tok.line, tok.col))
-                self.sync_item()
-        self.expect("punct", "}")
+
+        def member():
+            if self.at("ident", "method"):
+                methods.append(self.method_decl())
+                return
+            item_tok = self.peek()
+            pid = self.ident("a property id")
+            semantic = self.take().value if self.at("string") else None
+            self.expect("punct", "=")
+            value = self.value()
+            self.expect("punct", ";")
+            items.append((pid, semantic, value, item_tok))
+
+        self.members(member)
         self.statements.append(_ObjectStmt(name, declared, items, methods, tok))
 
     def relation_def(self):
@@ -570,26 +577,18 @@ class _Parser:
         if self.at("ident", "target-class"):
             self.take()
             target_class = self.ident("a class name")
-        self.expect("punct", "{")
         changes = []
-        while not self.at("punct", "}") and not self.at("eof"):
-            try:
-                change_tok = self.peek()
-                pid = self.ident("a property id")
-                self.expect("punct", ":")
-                before = self.value()
-                self.expect("punct", "->")
-                after = self.value()
-                self.expect("punct", ";")
-                changes.append(Change(pid, before, after))
-            except _Bail:
-                self.sync_item()
-            except (FoodnError, ValueError) as exc:
-                self.diags.append(
-                    ParseDiagnostic("error", str(exc), change_tok.line, change_tok.col)
-                )
-                self.sync_item()
-        self.expect("punct", "}")
+
+        def member():
+            pid = self.ident("a property id")
+            self.expect("punct", ":")
+            before = self.value()
+            self.expect("punct", "->")
+            after = self.value()
+            self.expect("punct", ";")
+            changes.append(Change(pid, before, after))
+
+        self.members(member)
         self.statements.append(_ModifierStmt(name, level, source, target, target_class, changes, tok))
 
     def parse(self):

@@ -1,27 +1,26 @@
 """Method evaluation over fuzzy-valued properties.
 
-A method body is compiled once per MethodDef to a Python function of one
-slot per binding; each slot carries the supports and degrees of its value
-(crisp values are one-point supports at degree 1).  The kernel
+A MethodDef carries its body compiled, when it is built, to a Python
+function of one slot per binding; the evaluator resolves the bindings and
+runs that function.  Each slot carries the supports and degrees of its
+value (crisp values are one-point supports at degree 1).  The kernel
 enumerates all support combinations, so a variable bound once names one
 quantity no matter how often the body mentions it.
 
-An indexed family bound with [*] may appear only inside sum(), so the body
-depends on the family through its sum alone.  The members vary
-independently, and under sup-min the extension of a sum over noninteractive
-variables equals extending it one pair at a time (Zadeh 1975; Dubois and
-Prade 1980).  The family's slot therefore carries its sum, folded member by
-member through the kernel, and the cost grows with the size of the partial
-sums rather than with the product of the members' supports.
+An indexed family bound with [*] may appear only inside sum() (a MethodDef
+that reads it elsewhere is refused when it is built), so the body depends
+on the family through its sum alone.  The members vary independently, and
+under sup-min the extension of a sum over noninteractive variables equals
+extending it one pair at a time (Zadeh 1975; Dubois and Prade 1980).  The
+family's slot therefore carries its sum, folded member by member through
+the kernel, and the cost grows with the size of the partial sums rather
+than with the product of the members' supports.
 """
 from __future__ import annotations
 
-import weakref
-from collections.abc import Callable
-
 from . import kernel as _kernel
 from .errors import UnknownMethod, UnresolvedBinding
-from .expr import Bin, Call, Expr, Neg, Var, compile_program, parse_expr
+from .expr import compile_program, parse_expr
 from .fuzzy import DEFAULT_TOL, FuzzySet, check_tolerance
 from .model import (
     Binding,
@@ -33,10 +32,7 @@ from .model import (
     TruthDegree,
 )
 
-_ADD = compile_program(Bin("+", Var("x"), Var("y")), {"x": 0, "y": 1})
-
-# Compiled bodies, kept only as long as their MethodDef is alive.
-_PROGRAMS: weakref.WeakKeyDictionary[MethodDef, Callable] = weakref.WeakKeyDictionary()
+_ADD = compile_program(parse_expr("x + y"), {"x": 0, "y": 1})
 
 
 def resolve_binding(entity, binding: Binding):
@@ -54,9 +50,7 @@ def resolve_binding(entity, binding: Binding):
     value = prop.value
 
     def components():
-        if isinstance(value, CrispTuple):
-            return list(value.values)
-        if isinstance(value, FuzzyTuple):
+        if isinstance(value, (CrispTuple, FuzzyTuple)):
             return list(value.values)
         return None
 
@@ -64,11 +58,7 @@ def resolve_binding(entity, binding: Binding):
         parts = components()
         return float(len(parts)) if parts is not None else 1.0
     if binding.accessor == "scalar":
-        if isinstance(value, CrispNumber):
-            return value.value
-        if isinstance(value, TruthDegree):
-            return value.value
-        if isinstance(value, Fuzzy):
+        if isinstance(value, (CrispNumber, TruthDegree, Fuzzy)):
             return value.value
         raise UnresolvedBinding(
             f"{entity.name}.{binding.prop} is not a scalar; bind a component or use [*]"
@@ -87,37 +77,9 @@ def resolve_binding(entity, binding: Binding):
     parts = components()
     if parts is not None:
         return parts
-    if isinstance(value, CrispNumber):
-        return [value.value]
-    if isinstance(value, Fuzzy):
+    if isinstance(value, (CrispNumber, Fuzzy)):
         return [value.value]
     raise UnresolvedBinding(f"{entity.name}.{binding.prop} cannot form an indexed family")
-
-
-def _check_families(node: Expr, families: set[str]) -> None:
-    """Raise UnresolvedBinding when a family variable is read outside sum()."""
-    if isinstance(node, Var) and node.name in families:
-        raise UnresolvedBinding(
-            f"family variable {node.name!r} can only appear inside sum()"
-        )
-    if isinstance(node, Neg):
-        _check_families(node.operand, families)
-    elif isinstance(node, Bin):
-        _check_families(node.left, families)
-        _check_families(node.right, families)
-    elif isinstance(node, Call):
-        _check_families(node.arg, families)
-
-
-def _program(method: MethodDef) -> Callable:
-    """The method's body compiled with one slot per binding, in binding order."""
-    program = _PROGRAMS.get(method)
-    if program is None:
-        ast = parse_expr(method.body)
-        _check_families(ast, {b.var for b in method.bindings if b.accessor == "all"})
-        slots = {b.var: i for i, b in enumerate(method.bindings)}
-        program = _PROGRAMS[method] = compile_program(ast, slots)
-    return program
 
 
 def _column(value):
@@ -151,7 +113,7 @@ def evaluate_method(entity, method: MethodDef, tol: float = DEFAULT_TOL):
         supports.append(s)
         degrees.append(d)
 
-    values, degs = _kernel.eval_program(_program(method), supports, degrees, tol)
+    values, degs = _kernel.eval_program(method.program, supports, degrees, tol)
     if not any_fuzzy:
         return values[0]
     return FuzzySet(tuple(zip(values, degs)), method.result_unit)

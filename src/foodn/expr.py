@@ -20,10 +20,10 @@ from __future__ import annotations
 import math
 import operator
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Collection
 from dataclasses import dataclass
 
-from .errors import EvaluationError, ExprSyntaxError
+from .errors import EvaluationError, ExprSyntaxError, UnresolvedBinding
 
 FUNCTIONS = ("sin", "cos", "sqrt")
 
@@ -255,19 +255,24 @@ _CALLS = {
 }
 
 
-def compile_program(expr: Expr, var_slots: dict[str, int]) -> Callable[[tuple[float, ...]], float]:
+def compile_program(
+    expr: Expr, var_slots: dict[str, int], families: Collection[str] = frozenset()
+) -> Callable[[tuple[float, ...]], float]:
     """Compile *expr* to a function of the tuple of slot values.
 
-    Every Var and sum() variable must have a slot.  The function is a tree
-    of closures, one per node.  A zero divisor raises ZeroDivisionError and
-    sin/cos of an infinite value raise ValueError; the kernel reports both
-    as EvaluationError.
+    Every Var and sum() variable must have a slot; a variable in *families*
+    (bound with [*]) read outside sum() raises UnresolvedBinding.  The
+    function is a tree of closures, one per node.  A zero divisor raises
+    ZeroDivisionError and sin/cos of an infinite value raise ValueError;
+    the kernel reports both as EvaluationError.
     """
 
     def build(node: Expr):
         if isinstance(node, Num):
             value = float(node.value)
             return lambda xs: value
+        if isinstance(node, Var) and node.name in families:
+            raise UnresolvedBinding(f"family variable {node.name!r} can only appear inside sum()")
         if isinstance(node, (Var, Sum)):
             return operator.itemgetter(var_slots[node.name if isinstance(node, Var) else node.var])
         if isinstance(node, Neg):

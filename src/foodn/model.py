@@ -8,7 +8,8 @@ those degrees with a t-norm.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 from . import expr as _expr
 from .errors import (
@@ -188,17 +189,21 @@ class Binding:
             raise ValueError(f"unknown accessor {self.accessor!r}")
         if (self.accessor == "component") != (self.index is not None):
             raise ValueError("component bindings need an index; others must not carry one")
-        if self.index is not None and self.index < 1:
-            raise ValueError("component indexes are 1-based")
+        if self.index is not None and (type(self.index) is not int or self.index < 1):
+            raise ValueError(f"component indexes are 1-based integers, got {self.index!r}")
 
 
 @dataclass(frozen=True)
 class MethodDef:
+    """A method.  Its body is parsed, checked and compiled once, when it is
+    built; ``program`` is a function of one slot per binding, in order."""
+
     id: str
     semantic: str
     body: str
     bindings: tuple[Binding, ...] = ()
     result_unit: str | None = None
+    program: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.id:
@@ -212,6 +217,13 @@ class MethodDef:
             raise ValueError(
                 f"method {self.id}: unbound variables {sorted(unbound)} in body {self.body!r}"
             )
+        slots = {name: i for i, name in enumerate(names)}
+        families = {b.var for b in self.bindings if b.accessor == "all"}
+        object.__setattr__(self, "program", _expr.compile_program(ast, slots, families))
+
+    def __reduce__(self):
+        # a compiled body cannot be pickled; unpickling builds the method again
+        return type(self), (self.id, self.semantic, self.body, self.bindings, self.result_unit)
 
 
 def method_equivalent(a: MethodDef, b: MethodDef) -> bool:

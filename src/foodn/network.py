@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from itertools import count
 
 from . import exploiters as _exp
 from .errors import (
@@ -110,8 +111,11 @@ class Network:
 
     # -- construction ---------------------------------------------------
 
+    def _live(self, name: str) -> bool:
+        return name in self.objects or name in self.classes
+
     def _check_free(self, name: str):
-        if name in self.objects or name in self.classes:
+        if self._live(name):
             raise DuplicateName(f"{name!r} is already bound to a live entity")
 
     def add(self, entity):
@@ -207,11 +211,9 @@ class Network:
         raise UnknownEntity(f"no live entity named {name!r}")
 
     def _fresh_name(self, base: str) -> str:
-        if base not in self.objects and base not in self.classes:
+        if not self._live(base):
             return base
-        i = 2
-        while f"{base}_{i}" in self.objects or f"{base}_{i}" in self.classes:
-            i += 1
+        i = next(i for i in count(2) if not self._live(f"{base}_{i}"))
         return f"{base}_{i}"
 
     # -- queries ----------------------------------------------------------
@@ -335,13 +337,9 @@ class Network:
             if len(entities) != 1:
                 raise ArityError(f"clone takes one entity, got {len(entities)}")
             if index is None:
-                index = 1
-                while f"{names[0]}_clone{index}" in self.objects or (
-                    f"{names[0]}_clone{index}" in self.classes
-                ):
-                    index += 1
+                index = next(i for i in count(1) if not self._live(f"{names[0]}_clone{i}"))
             result = _exp.clone_op(entities[0], index)
-            if result.name in self.objects or result.name in self.classes:
+            if self._live(result.name):
                 raise NameCollision(f"{result.name!r} is already live")
             self.add(result)
             self._record("clone", names, result.name)
@@ -349,7 +347,7 @@ class Network:
 
         if result_name is None:
             result_name = f"{kind}_" + "_".join(names)
-        if result_name in self.objects or result_name in self.classes:
+        if self._live(result_name):
             raise NameCollision(f"{result_name!r} is already live")
 
         if kind == "union":

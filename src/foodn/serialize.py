@@ -123,12 +123,15 @@ def _method_doc(m: MethodDef) -> dict:
     }
 
 
-def _method_from(doc) -> MethodDef:
+def _method_from(doc, methods: dict) -> MethodDef:
+    """The MethodDef of *doc*, built once per distinct document in *methods*."""
     try:
-        bindings = tuple(
-            Binding(b["var"], b["prop"], b["accessor"], b["index"]) for b in doc["bindings"]
-        )
-        return MethodDef(doc["id"], doc["semantic"], doc["body"], bindings, doc["result_unit"])
+        mid, semantic, body, unit = doc["id"], doc["semantic"], doc["body"], doc["result_unit"]
+        bindings = tuple((b["var"], b["prop"], b["accessor"], b["index"]) for b in doc["bindings"])
+        key = repr((mid, semantic, body, unit, bindings))  # repr keeps 1, 1.0 and true apart
+        if key not in methods:
+            methods[key] = MethodDef(mid, semantic, body, tuple(Binding(*b) for b in bindings), unit)
+        return methods[key]
     except (KeyError, TypeError) as exc:
         raise CorruptDocument(f"bad method document: {exc}") from exc
 
@@ -163,26 +166,30 @@ def entity_to_doc(entity) -> dict:
 
 
 def entity_from_doc(doc):
+    return _entity_from(doc, {})
+
+
+def _entity_from(doc, methods: dict):
     try:
         kind = doc["kind"]
         if kind == "object":
             return FuzzyObject(
                 doc["name"],
                 tuple(_property_from(p) for p in doc["properties"]),
-                tuple(_method_from(m) for m in doc["methods"]),
+                tuple(_method_from(m, methods) for m in doc["methods"]),
                 doc["declared_class"],
             )
         if kind == "class":
             return ClassSpec(
                 doc["name"],
                 tuple(_property_from(p) for p in doc["properties"]),
-                tuple(_method_from(m) for m in doc["methods"]),
+                tuple(_method_from(m, methods) for m in doc["methods"]),
                 doc["mode"],
                 tuple(doc["extension"]),
             )
         if kind == "heterogeneous-class":
             return HeterogeneousClass(
-                doc["name"], tuple(entity_from_doc(p) for p in doc["projections"])
+                doc["name"], tuple(_entity_from(p, methods) for p in doc["projections"])
             )
     except (KeyError, TypeError) as exc:
         raise CorruptDocument(f"bad entity document: {exc}") from exc
@@ -254,12 +261,13 @@ def from_document(doc, tol: float = DEFAULT_TOL) -> Network:
         if key not in doc:
             raise CorruptDocument(f"missing key {key!r}")
     net = Network(tol)
+    methods: dict = {}  # one MethodDef per distinct method document in this load
     try:
         net.history = dict(doc["history"])
         for edoc in doc["classes"]:
-            net.add(entity_from_doc(edoc))
+            net.add(_entity_from(edoc, methods))
         for edoc in doc["objects"]:
-            net.add(entity_from_doc(edoc))
+            net.add(_entity_from(edoc, methods))
         for rdoc in doc["relations"]:
             net.add_relation(rdoc["source"], rdoc["target"], rdoc["kind"], rdoc["degree"])
         for mdoc in doc["modifiers"]:

@@ -227,6 +227,18 @@ class TestExitCodes:
         assert err.startswith("error: bad network document:")
         assert "Traceback" not in err
 
+    def test_non_integer_binding_index_is_2(self, tmp_path):
+        doc = to_document(load_file(POLYGONS)[0])
+        [rb1] = [o for o in doc["objects"] if o["name"] == "Rb1"]
+        [f1] = [m for m in rb1["methods"] if m["id"] == "f1"]
+        f1["bindings"][0]["index"] = 1.5
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli("eval", "--in", str(path), "Rb1", "f1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad network document:") and err.count("\n") == 1
+        assert "1-based integers" in err and "Traceback" not in err
+
     def test_version_mismatch_is_2(self, tmp_path):
         path = tmp_path / "future.json"
         path.write_text('{"foodn_version": 99}')

@@ -178,6 +178,60 @@ class TestDiagnostics:
         diags = errors_of('class T { method f1 "F" = "a +" bind a = p1; }')
         assert any("offset" in d.message for d in diags)
 
+    def test_member_errors_are_placed_at_the_member(self):
+        # each refused member is reported at its own first token, and the
+        # next member is still parsed
+        text = (
+            'class T {\n'
+            '  property p1 "P" = 2;\n'
+            '  method f1 "A" = "a +" bind a = p1;\n'
+            '  method f2 "B" = "b" bind c = p1;\n'
+            '  bogus;\n'
+            '}\n'
+        )
+        diags = errors_of(text)
+        assert [(d.line, d.col) for d in diags] == [(3, 3), (4, 3), (5, 3)]
+        assert "offset 3" in diags[0].message
+        assert "unbound variables ['b']" in diags[1].message
+        assert "expected property, method or extension" in diags[2].message
+
+    def test_object_member_errors_are_placed_at_the_member(self):
+        text = (
+            'object O {\n'
+            '  p1 "P" = 2;\n'
+            '  method f1 "A" = "a" bind a = p1, a = p1;\n'
+            '  p2 "Q" = interval(3, 1);\n'
+            '  method f2 "B" = "b" bind c = p1;\n'
+            '}\n'
+        )
+        diags = errors_of(text)
+        assert [(d.line, d.col) for d in diags] == [(3, 3), (4, 3), (5, 3)]
+
+    def test_every_refused_change_is_reported(self):
+        text = (
+            'object O { p1 "P" = 1; p2 "Q" = 2; }\n'
+            'modifier M object O -> O2 {\n'
+            '  p1: 1 -> 1;\n'
+            '  p2: 2 -> 2;\n'
+            '  p1: 1 -> 3;\n'
+            '}\n'
+        )
+        diags = errors_of(text)
+        assert [(d.line, d.col) for d in diags] == [(3, 3), (4, 3)]
+        assert all("must alter the value" in d.message for d in diags)
+
+    def test_family_outside_sum_is_refused_at_load(self):
+        text = (
+            'class T {\n'
+            '  property p2 "Sides" : fuzzy;\n'
+            '  method f1 "Perimeter" = "sum(a)" bind a = p2[*];\n'
+            '  method f2 "Broken" = "a + 1" bind a = p2[*];\n'
+            '}\n'
+        )
+        [diag] = errors_of(text)
+        assert (diag.line, diag.col) == (4, 3)
+        assert "family variable 'a' can only appear inside sum()" in diag.message
+
     def test_unknown_declared_class(self):
         diags = errors_of('object O : Nope { p1 "P" = 1; }')
         assert "unknown class" in diags[0].message

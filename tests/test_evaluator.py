@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foodn import evaluator
+from conftest import POLYGONS
+from foodn import evaluator, expr, load_file
 from foodn.errors import UnknownMethod, UnresolvedBinding
 from foodn.evaluator import eval_method, evaluate_method, resolve_binding
 from foodn.fuzzy import FuzzySet, fs_equal, make_fuzzy_set
@@ -108,13 +109,19 @@ class TestEvaluateMethod:
         assert len(result.elements) > 3
 
     def test_family_outside_sum_is_rejected(self):
-        obj = define_object("O", [
-            Property("p2", "Sides", FuzzyTuple((SIDE,) * 2)),
-        ], [
-            MethodDef("bad", "Broken", "a+1", (Binding("a", "p2", "all"),)),
-        ])
+        # refused when the method is built, before any entity is evaluated
         with pytest.raises(UnresolvedBinding, match="inside sum"):
-            eval_method(obj, "bad")
+            MethodDef("bad", "Broken", "a+1", (Binding("a", "p2", "all"),))
+
+    @pytest.mark.parametrize("body", ["-a", "sum(a) + -a", "2*a", "a^2", "sin(a)", "(a)"])
+    def test_family_check_reaches_every_operand(self, body):
+        with pytest.raises(UnresolvedBinding, match="family variable 'a'"):
+            MethodDef("bad", "Broken", body, (Binding("a", "p2", "all"),))
+
+    @pytest.mark.parametrize("body", ["-sum(a)", "sin(sum(a)) + 2*sum(a)", "sum(a)^2"])
+    def test_family_inside_sum_is_accepted(self, body):
+        method = MethodDef("ok", "Fine", body, (Binding("a", "p2", "all"),), "cm")
+        assert isinstance(evaluate_method(polygon_like(), method), FuzzySet)
 
     def test_crisp_inputs_give_float(self):
         assert eval_method(polygon_like(), "g1") == 4.0
@@ -196,3 +203,38 @@ class TestSumFamilies:
         for _ in range(5):
             assert evaluate_method(obj, method) == first
         assert len(calls) <= 1
+
+
+class TestCompiledOnce:
+    def test_parse_runs_once_per_method_built_and_never_in_evaluation(self, monkeypatch):
+        parses, builds = [], []
+        parse, post_init = expr.parse_expr, MethodDef.__post_init__
+
+        def counting_parse(text):
+            parses.append(text)
+            return parse(text)
+
+        def counting_post_init(method):
+            builds.append(method.id)
+            post_init(method)
+
+        monkeypatch.setattr(expr, "parse_expr", counting_parse)
+        monkeypatch.setattr(evaluator, "parse_expr", counting_parse)
+        monkeypatch.setattr(MethodDef, "__post_init__", counting_post_init)
+        net, _ = load_file(POLYGONS)
+        assert len(parses) == len(builds) == 5
+        del parses[:]
+        for obj in net.objects.values():
+            for method in obj.signature:
+                for _ in range(3):
+                    evaluate_method(obj, method)
+        assert parses == [] and len(builds) == 5
+
+    def test_evaluation_runs_the_methods_own_program(self, monkeypatch):
+        obj = polygon_like()
+        method = obj.get_method("g2")
+        seen = []
+        monkeypatch.setattr(evaluator._kernel, "eval_program",
+                            lambda program, *rest: seen.append(program) or ([1.0], [1.0]))
+        evaluate_method(obj, method)
+        assert seen == [method.program]

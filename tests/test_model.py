@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import copy
+import pickle
+from dataclasses import replace
+
 import pytest
 
 from foodn.errors import (
@@ -113,6 +117,35 @@ class TestMethods:
             Binding("a", "p2", "component", 0)
         with pytest.raises(ValueError):
             Binding("a", "p2", "slice")
+
+    @pytest.mark.parametrize("index", [1.5, 2.0, True, "1"])
+    def test_component_index_must_be_an_integer(self, index):
+        with pytest.raises(ValueError, match="1-based integers"):
+            Binding("a", "p2", "component", index)
+
+    def test_compiled_body_takes_no_part_in_identity(self):
+        def build():
+            return MethodDef("f2", "Area", "a^2*n", (
+                Binding("a", "p2", "component", 1),
+                Binding("n", "p3", "scalar"),
+            ), "cm^2")
+
+        a, b = build(), build()
+        assert a.program is not b.program
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert "program" not in repr(a) and repr(a) == repr(b)
+        assert a.program((3.0, 2.0)) == 18.0
+        renamed = replace(a, id="g2")
+        assert (renamed.id, renamed.body) == ("g2", a.body) and renamed != a
+        reshaped = replace(a, body="a*n")
+        assert reshaped.program((3.0, 2.0)) == 6.0
+        with pytest.raises(ValueError):
+            replace(a, program=b.program)
+
+    def test_methods_pickle_and_copy_with_a_working_body(self):
+        method = MethodDef("f1", "Perimeter", "4*a", (Binding("a", "p2", "component", 1),), "cm")
+        for twin in (pickle.loads(pickle.dumps(method)), copy.deepcopy(method)):
+            assert twin == method and twin.program((2.0,)) == 8.0
 
     def test_method_equivalent_ignores_whitespace(self):
         a = MethodDef("f2", "Area", "a^2*sin(alpha)", (

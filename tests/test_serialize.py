@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from foodn import expr
+from foodn.dsl import parse_network
 from foodn.errors import CorruptDocument, SchemaVersionMismatch, UnknownEntity
 from foodn.fuzzy import make_fuzzy_set
 from foodn.model import (
@@ -36,6 +38,28 @@ from foodn.serialize import (
 )
 
 FS = make_fuzzy_set([(1.8, 0.9), (2.0, 1.0)], unit="cm")
+
+
+def generated_network(n_objects):
+    """Objects that inherit their class's methods, and every fourth object
+    with a method of its own that differs from the others only in its binding."""
+    lines = [
+        'class T_A {',
+        '  property p2 "Sides" : fuzzy;',
+        '  method f1 "Perimeter" = "sum(a)" bind a = p2[*] unit cm;',
+        '  method f2 "Scaled side" = "4*a" bind a = p2[1] unit cm;',
+        '}',
+        'class T_B {',
+        '  property p2 "Sides" : fuzzy;',
+        '  method f1 "Perimeter" = "sum(a)" bind a = p2[*] unit cm;',
+        '}',
+    ]
+    for i in range(n_objects):
+        lines += [f"object O{i} : {'T_A' if i % 2 else 'T_B'} {{", f"  p2 = [{{{i + 1}/1}} cm] * 3;"]
+        if i % 4 == 0:
+            lines.append(f'  method g "Scaled side" = "4*a" bind a = p2[{i // 4 + 1}] unit cm;')
+        lines.append("}")
+    return parse_network("\n".join(lines))[0]
 
 ALL_VALUES = [
     CrispNumber(4.0, "cm"),
@@ -158,6 +182,45 @@ class TestNetworkDocs:
         rb1["methods"][0]["body"] = "+".join(["a"] * 2000)
         with pytest.raises(CorruptDocument, match="deeper than"):
             loads(json.dumps(doc))
+
+    @pytest.mark.parametrize("index", [1.5, 2.0, 1.0, True])
+    def test_non_integer_binding_index_is_corrupt(self, polygons, index):
+        # T_Rb's f1 binds p2[1] and loads first; an equal-looking 1.0 or
+        # true in Rb1's copy must still be checked, not matched to it
+        doc = to_document(polygons)
+        [rb1] = [o for o in doc["objects"] if o["name"] == "Rb1"]
+        [f1] = [m for m in rb1["methods"] if m["id"] == "f1"]
+        f1["bindings"][0]["index"] = index
+        with pytest.raises(CorruptDocument, match="1-based integers"):
+            loads(json.dumps(doc))
+
+    def test_family_outside_sum_is_corrupt(self, polygons):
+        doc = to_document(polygons)
+        [t_pg] = [c for c in doc["classes"] if c["name"] == "T_Pg"]
+        assert t_pg["methods"][0]["bindings"][0]["accessor"] == "all"
+        t_pg["methods"][0]["body"] = "a + 1"
+        with pytest.raises(CorruptDocument, match="inside sum"):
+            loads(json.dumps(doc))
+
+    def test_equal_method_documents_share_one_methoddef(self, monkeypatch):
+        text = dumps(generated_network(12))
+        doc = json.loads(text)
+        documents = [m for e in doc["classes"] + doc["objects"] for m in e["methods"]]
+        distinct = {json.dumps(m, sort_keys=True) for m in documents}
+        assert len(documents) > 3 * len(distinct)
+        calls = []
+        parse = expr.parse_expr
+        monkeypatch.setattr(expr, "parse_expr", lambda body: calls.append(body) or parse(body))
+        net = loads(text)
+        assert len(calls) == len(distinct)
+        assert dumps(net) == text
+        f1 = net.entity("T_A").get_method("f1")
+        assert net.entity("O1").get_method("f1") is f1
+        assert net.entity("O3").get_method("f1") is f1
+        assert net.entity("T_B").get_method("f1") is f1  # an equal document in another class
+        # same id, body and unit, different bindings: kept apart
+        g = [net.entity(f"O{i}").get_method("g") for i in (0, 4, 8)]
+        assert [m.bindings[0].index for m in g] == [1, 2, 3]
 
     def test_load_file_dispatch(self, polygons, tmp_path):
         json_path = tmp_path / "net.json"
