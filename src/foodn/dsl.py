@@ -26,16 +26,22 @@ Values: numbers with optional units, tuples, `interval(0, 180)` (square
 bracket for a closed bound), fuzzy set literals `{1.8/0.9 + 2/1} cm`, truth
 degrees `fuzzy(0.8)`, the class-side markers `fuzzy` and `absent`, and the
 repeat form `[<value>] * n` for uniform tuples.  `//` starts a comment.
-Objects inherit semantics and methods from their declared class.
+A string ends on its line.  Objects inherit semantics and methods from
+their declared class.
 
-Parsing never yields a partial network: any error raises DslError carrying
-every diagnostic found.  Warnings (for example a modifier whose result
-would not belong to its own target class) come back alongside the network.
+Statements may come in any order.  Each parsed statement queues the step
+that builds it; the steps run classes first, then objects, relations and
+modifiers, then the reflection lint, and a statement the network refuses
+is reported at its first token.  Parsing never yields a partial network:
+any error raises DslError carrying every diagnostic found.  Warnings (for
+example a modifier whose result would not belong to its own target class)
+come back alongside the network.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import DslError, FoodnError, SemanticMismatch
@@ -85,6 +91,7 @@ class _Bail(Exception):
 
 _NUM_RE = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 _PUNCT = set("{}()[],;:=/+*^")
+_STATEMENTS = ("class", "object", "relation", "modifier")  # parsed by _Parser.<keyword>_def
 
 
 def _tokenize(text: str):
@@ -104,18 +111,18 @@ def _tokenize(text: str):
             col += 1
             continue
         if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
+            j = text.find("\n", i)
+            j = n if j < 0 else j
+            col += j - i
+            i = j
             continue
         if c == '"':
             j = i + 1
             out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
+            while j < n and text[j] not in '"\n':  # a line break ends a string, escaped or not
+                if text[j] == "\\" and j + 1 < n and text[j + 1] != "\n":
                     out.append(text[j + 1])
                     j += 2
-                elif text[j] == "\n":
-                    break
                 else:
                     out.append(text[j])
                     j += 1
@@ -165,50 +172,11 @@ def _tokenize(text: str):
     return tokens, diags
 
 
-@dataclass
-class _ClassStmt:
-    name: str
-    extensional: bool
-    properties: list
-    methods: list
-    extension: list
-    tok: Token
-
-
-@dataclass
-class _ObjectStmt:
-    name: str
-    declared: str | None
-    items: list  # (id, semantic | None, value, tok)
-    methods: list
-    tok: Token
-
-
-@dataclass
-class _RelationStmt:
-    source: str
-    kind: str
-    target: str
-    degree: float
-    tok: Token
-
-
-@dataclass
-class _ModifierStmt:
-    name: str
-    level: str
-    source: str
-    target: str
-    target_class: str | None
-    changes: list
-    tok: Token
-
-
 class _Parser:
     def __init__(self, text: str):
         self.tokens, self.diags = _tokenize(text)
         self.i = 0
-        self.statements = []
+        self.steps = []  # (phase, first token, function, args): function(net, *args)
 
     # -- token plumbing ---------------------------------------------------
 
@@ -294,12 +262,7 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "eof":
                 return
-            if depth == 0 and tok.kind == "ident" and tok.value in (
-                "class",
-                "object",
-                "relation",
-                "modifier",
-            ):
+            if depth == 0 and tok.kind == "ident" and tok.value in _STATEMENTS:
                 return
             if tok.kind == "punct":
                 if tok.value == "{":
@@ -502,10 +465,10 @@ class _Parser:
     def class_def(self):
         tok = self.take()  # "class"
         name = self.ident("a class name")
-        extensional = False
+        mode = "intensional"
         if self.at("ident", "extensional"):
             self.take()
-            extensional = True
+            mode = "extensional"
         properties, methods, extension = [], [], []
 
         def member():
@@ -526,7 +489,7 @@ class _Parser:
                 self.error("expected property, method or extension")
 
         self.members(member)
-        self.statements.append(_ClassStmt(name, extensional, properties, methods, extension, tok))
+        self.steps.append((_CLASS, tok, _add_class, (name, properties, methods, mode, extension)))
 
     def object_def(self):
         tok = self.take()  # "object"
@@ -550,7 +513,7 @@ class _Parser:
             items.append((pid, semantic, value, item_tok))
 
         self.members(member)
-        self.statements.append(_ObjectStmt(name, declared, items, methods, tok))
+        self.steps.append((_OBJECT, tok, _add_object, (self.diags, name, declared, items, methods)))
 
     def relation_def(self):
         tok = self.take()  # "relation"
@@ -562,7 +525,7 @@ class _Parser:
             self.take()
             degree = self.number("a degree")
         self.expect("punct", ";")
-        self.statements.append(_RelationStmt(source, kind, target, degree, tok))
+        self.steps.append((_RELATION, tok, Network.add_relation, (source, target, kind, degree)))
 
     def modifier_def(self):
         tok = self.take()  # "modifier"
@@ -589,140 +552,86 @@ class _Parser:
             changes.append(Change(pid, before, after))
 
         self.members(member)
-        self.statements.append(_ModifierStmt(name, level, source, target, target_class, changes, tok))
+        args = (name, level, source, target, changes, target_class)
+        self.steps.append((_MODIFIER, tok, _add_modifier, args))
+        if level == "object" and target_class is not None:
+            self.steps.append((_LINT, tok, _lint, (self.diags, name, tok)))
 
     def parse(self):
         while not self.at("eof"):
+            tok = self.peek()
             try:
-                tok = self.peek()
-                if self.at("ident", "class"):
-                    self.class_def()
-                elif self.at("ident", "object"):
-                    self.object_def()
-                elif self.at("ident", "relation"):
-                    self.relation_def()
-                elif self.at("ident", "modifier"):
-                    self.modifier_def()
+                if tok.kind == "ident" and tok.value in _STATEMENTS:
+                    getattr(self, f"{tok.value}_def")()
                 else:
-                    self.error(
-                        f"expected class, object, relation or modifier, got {tok.value!r}"
-                    )
+                    self.error(f"expected class, object, relation or modifier, got {tok.value!r}")
             except _Bail:
                 self.sync_statement()
-        return self.statements, self.diags
 
 
-def _build(statements, diags, tol: float) -> Network:
-    net = Network(tol)
+# Build phases.  Steps run phase by phase, and in text order within a phase,
+# so a statement may name entities declared further down the file.
+_CLASS, _OBJECT, _RELATION, _MODIFIER, _LINT = range(5)
 
-    def fail(stmt, exc):
-        diags.append(ParseDiagnostic("error", str(exc), stmt.tok.line, stmt.tok.col))
 
-    for stmt in statements:
-        if isinstance(stmt, _ClassStmt):
-            try:
-                net.add(
-                    define_class(
-                        stmt.name,
-                        stmt.properties,
-                        stmt.methods,
-                        "extensional" if stmt.extensional else "intensional",
-                        stmt.extension,
-                    )
-                )
-            except (FoodnError, ValueError) as exc:
-                fail(stmt, exc)
+def _add_class(net, *args):
+    net.add(define_class(*args))
 
-    for stmt in statements:
-        if not isinstance(stmt, _ObjectStmt):
-            continue
-        try:
-            base = None
-            if stmt.declared is not None:
-                if stmt.declared not in net.classes:
-                    raise FoodnError(f"object {stmt.name}: unknown class {stmt.declared!r}")
-                base = net.classes[stmt.declared]
-                if isinstance(base, HeterogeneousClass):
-                    raise FoodnError(
-                        f"object {stmt.name}: {stmt.declared} is heterogeneous and "
-                        "cannot be a declared class"
-                    )
-            properties = []
-            for pid, semantic, value, item_tok in stmt.items:
-                if semantic is None:
-                    declared = base.get_property(pid) if base is not None else None
-                    if declared is None:
-                        diags.append(
-                            ParseDiagnostic(
-                                "error",
-                                f"object {stmt.name}: property {pid} needs a semantic "
-                                "string (not declared by the class)",
-                                item_tok.line,
-                                item_tok.col,
-                            )
-                        )
-                        continue
-                    semantic = declared.semantic
-                properties.append(Property(pid, semantic, value))
-            signature = {m.id: m for m in base.signature} if base is not None else {}
-            for m in stmt.methods:
-                signature[m.id] = m
-            net.add(
-                define_object(stmt.name, properties, tuple(signature.values()), stmt.declared)
+
+def _add_object(net, diags, name, declared, items, methods):
+    """Add an object; it inherits semantics and methods from its declared class."""
+    base = None
+    if declared is not None:
+        base = net.classes.get(declared)
+        if base is None:
+            raise FoodnError(f"object {name}: unknown class {declared!r}")
+        if isinstance(base, HeterogeneousClass):
+            raise FoodnError(
+                f"object {name}: {declared} is heterogeneous and cannot be a declared class"
             )
-        except (FoodnError, ValueError) as exc:
-            fail(stmt, exc)
-
-    for stmt in statements:
-        if isinstance(stmt, _RelationStmt):
-            try:
-                net.add_relation(stmt.source, stmt.target, stmt.kind, stmt.degree)
-            except (FoodnError, ValueError) as exc:
-                fail(stmt, exc)
-
-    for stmt in statements:
-        if isinstance(stmt, _ModifierStmt):
-            try:
-                net.register_modifier(
-                    define_modifier(
-                        stmt.name, stmt.level, stmt.source, stmt.target, stmt.changes,
-                        stmt.target_class,
-                    )
+    properties = []
+    for pid, semantic, value, tok in items:
+        if semantic is None:
+            inherited = base.get_property(pid) if base is not None else None
+            if inherited is None:
+                message = (
+                    f"object {name}: property {pid} needs a semantic string "
+                    "(not declared by the class)"
                 )
-            except (FoodnError, ValueError) as exc:
-                fail(stmt, exc)
+                diags.append(ParseDiagnostic("error", message, tok.line, tok.col))
+                continue
+            semantic = inherited.semantic
+        properties.append(Property(pid, semantic, value))
+    signature = {m.id: m for m in base.signature} if base is not None else {}
+    signature.update((m.id, m) for m in methods)
+    net.add(define_object(name, properties, tuple(signature.values()), declared))
 
-    # Static reflection lint: would an object-level modifier's result still
-    # belong to its declared target class?
-    for stmt in statements:
-        if not isinstance(stmt, _ModifierStmt):
-            continue
-        mod = net.modifiers.get(stmt.name)
-        if mod is None or mod.level != "object" or mod.target_class is None:
-            continue
-        if mod.source not in net.objects or mod.target_class not in net.classes:
-            continue
-        donor = net.classes[mod.target_class]
-        entity = net.objects[mod.source]
-        ok, _ = check_applicable(mod, entity, tol)
-        if not ok:
-            continue
-        try:
-            result = transform(mod, entity)
-            degree = membership_degree(result, donor, "min", tol)
-        except SemanticMismatch:
-            degree = 0.0
-        if degree == 0.0:
-            diags.append(
-                ParseDiagnostic(
-                    "warning",
-                    f"modifier {mod.name}: the result would not belong to its "
-                    f"target class {mod.target_class}",
-                    stmt.tok.line,
-                    stmt.tok.col,
-                )
-            )
-    return net
+
+def _add_modifier(net, *args):
+    net.register_modifier(define_modifier(*args))
+
+
+def _lint(net, diags, name, tok):
+    """Static reflection lint: warn if an object-level modifier's result
+    would not belong to its declared target class."""
+    mod = net.modifiers.get(name)
+    if mod is None or mod.source not in net.objects or mod.target_class not in net.classes:
+        return
+    entity = net.objects[mod.source]
+    if not check_applicable(mod, entity, net.tol)[0]:
+        return
+    try:
+        degree = membership_degree(
+            transform(mod, entity), net.classes[mod.target_class], "min", net.tol
+        )
+    except SemanticMismatch:
+        degree = 0.0
+    if degree == 0.0:
+        message = (
+            f"modifier {mod.name}: the result would not belong to its "
+            f"target class {mod.target_class}"
+        )
+        diags.append(ParseDiagnostic("warning", message, tok.line, tok.col))
 
 
 def parse_network(text: str, tol: float = DEFAULT_TOL):
@@ -732,8 +641,14 @@ def parse_network(text: str, tol: float = DEFAULT_TOL):
     if anything is wrong; a partial network is never returned.
     """
     parser = _Parser(text)
-    statements, diags = parser.parse()
-    net = _build(statements, diags, tol)
+    parser.parse()
+    diags = parser.diags
+    net = Network(tol)
+    for _, tok, build, args in sorted(parser.steps, key=itemgetter(0)):
+        try:
+            build(net, *args)
+        except (FoodnError, ValueError) as exc:
+            diags.append(ParseDiagnostic("error", str(exc), tok.line, tok.col))
     errors = [d for d in diags if d.severity == "error"]
     if errors:
         raise DslError(errors)

@@ -158,6 +158,12 @@ def format_value(value) -> str:
 # -- properties and methods ---------------------------------------------------
 
 
+def _check_strings(owner: str, **fields):
+    for name, value in fields.items():
+        if not isinstance(value, str):
+            raise ValueError(f"{owner} {name} must be a string, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Property:
     id: str
@@ -165,6 +171,8 @@ class Property:
     value: PropertyValue
 
     def __post_init__(self):
+        if not (isinstance(self.id, str) and isinstance(self.semantic, str)):  # hot: inline test
+            _check_strings("property", id=self.id, semantic=self.semantic)
         if not self.id:
             raise ValueError("property id must be non-empty")
         if not self.semantic:
@@ -185,6 +193,7 @@ class Binding:
     index: int | None = None
 
     def __post_init__(self):
+        _check_strings("binding", var=self.var, prop=self.prop)
         if self.accessor not in ("scalar", "component", "all", "count"):
             raise ValueError(f"unknown accessor {self.accessor!r}")
         if (self.accessor == "component") != (self.index is not None):
@@ -206,6 +215,9 @@ class MethodDef:
     program: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_strings("method", id=self.id, semantic=self.semantic, body=self.body)
+        if self.result_unit is not None:
+            _check_strings("method", result_unit=self.result_unit)
         if not self.id:
             raise ValueError("method id must be non-empty")
         ast = _expr.parse_expr(self.body)

@@ -239,6 +239,22 @@ class TestExitCodes:
         assert err.startswith("error: bad network document:") and err.count("\n") == 1
         assert "1-based integers" in err and "Traceback" not in err
 
+    def test_non_string_property_id_is_2(self, tmp_path):
+        # refused at load, before membership can answer 0 or save crash in a sort
+        doc = to_document(load_file(POLYGONS)[0])
+        [rb1] = [o for o in doc["objects"] if o["name"] == "Rb1"]
+        [p6] = [p for p in rb1["properties"] if p["id"] == "p6"]
+        p6["id"] = 6
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        saved = tmp_path / "saved.json"
+        for command in (["membership", "Rb1", "T_Rb"], ["save", "--out", str(saved)]):
+            code, out, err = run_cli(*command, "--in", str(path))
+            assert (code, out) == (2, "")
+            assert err.startswith("error: bad network document:") and err.count("\n") == 1
+            assert "property id must be a string" in err and "Traceback" not in err
+        assert not saved.exists()
+
     def test_version_mismatch_is_2(self, tmp_path):
         path = tmp_path / "future.json"
         path.write_text('{"foodn_version": 99}')

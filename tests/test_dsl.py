@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import random
+import re
+
 import pytest
 
+from conftest import POLYGONS
 from foodn.dsl import _tokenize, parse_network
 from foodn.errors import DslError
 from foodn.model import (
@@ -14,6 +18,7 @@ from foodn.model import (
     Interval,
     TruthDegree,
 )
+from foodn.serialize import dumps
 
 
 def parse_one_value(text):
@@ -166,6 +171,17 @@ class TestDiagnostics:
         diags = errors_of('class T { property p1 "oops = 4; }')
         assert diags[0].message == "unterminated string"
 
+    def test_escaped_line_break_ends_the_string(self):
+        # an escaped break ends the string too, so no diagnostic drifts a
+        # line away from its text
+        diags = errors_of('class T {\n  property p1 "a\\\nb" = 1;\n  bogus;\n}\n')
+        assert (diags[0].message, diags[0].line, diags[0].col) == ("unterminated string", 2, 15)
+        assert all(d.line == 2 for d in diags)
+
+    def test_comment_advances_the_column(self):
+        [diag] = errors_of('class T { property p1 "P" = 1; // no closing brace')
+        assert (diag.message, diag.line, diag.col) == ("expected }, got end of file", 1, 51)
+
     def test_unexpected_character(self):
         diags = errors_of('class T { property p1 "P" = 4 @ ; }')
         assert "unexpected character" in diags[0].message
@@ -239,6 +255,37 @@ class TestDiagnostics:
     def test_no_partial_network_on_error(self):
         with pytest.raises(DslError):
             parse_network('class Good { property p1 "P" = 1; }\nclass Bad {}\n')
+
+
+class TestStatementOrder:
+    def test_diagnostics_come_in_build_phase_order(self):
+        # parse errors first, in text order; then the build errors of
+        # classes, objects, relations and modifiers, each at its statement
+        text = (
+            'relation O likes T;\n'
+            'modifier M object O -> O2 { p1 1 -> 2; }\n'
+            'object O : Nope { p1 "P" = 1; }\n'
+            'class T {}\n'
+        )
+        diags = errors_of(text)
+        assert [(d.severity, d.line, d.col) for d in diags] == [
+            ("error", 2, 32),  # parse: the change lacks its ':'
+            ("error", 4, 1),  # class: no properties
+            ("error", 3, 1),  # object: unknown declared class
+            ("error", 1, 1),  # relation: unknown kind
+            ("error", 2, 1),  # modifier: no changes left
+        ]
+
+    def test_any_statement_order_builds_the_same_network(self):
+        with open(POLYGONS, encoding="utf-8") as f:
+            header, *statements = re.split(r"(?m)^(?=class |object |relation |modifier )", f.read())
+        assert len(statements) == 17
+        expected = dumps(parse_network(header + "".join(statements))[0])
+        orders = [statements[::-1]] + [random.Random(seed).sample(statements, 17) for seed in range(3)]
+        for order in orders:
+            net, warnings = parse_network("".join(order))
+            assert warnings == []
+            assert dumps(net) == expected
 
 
 class TestTokenizer:

@@ -123,6 +123,20 @@ class TestMethods:
         with pytest.raises(ValueError, match="1-based integers"):
             Binding("a", "p2", "component", index)
 
+    @pytest.mark.parametrize("field, make", [
+        ("property id", lambda x: Property(x, "Sides", CrispNumber(4.0))),
+        ("property semantic", lambda x: Property("p1", x, CrispNumber(4.0))),
+        ("method id", lambda x: MethodDef(x, "Area", "a", (Binding("a", "p1"),))),
+        ("method semantic", lambda x: MethodDef("f1", x, "a", (Binding("a", "p1"),))),
+        ("method body", lambda x: MethodDef("f1", "Area", x, (Binding("a", "p1"),))),
+        ("method result_unit", lambda x: MethodDef("f1", "Area", "a", (Binding("a", "p1"),), x)),
+        ("binding var", lambda x: Binding(x, "p1")),
+        ("binding prop", lambda x: Binding("a", x)),
+    ])
+    def test_names_must_be_strings(self, field, make):
+        with pytest.raises(ValueError, match=f"^{field} must be a string, got 7$"):
+            make(7)
+
     def test_compiled_body_takes_no_part_in_identity(self):
         def build():
             return MethodDef("f2", "Area", "a^2*n", (

@@ -194,6 +194,25 @@ class TestNetworkDocs:
         with pytest.raises(CorruptDocument, match="1-based integers"):
             loads(json.dumps(doc))
 
+    @pytest.mark.parametrize("field, value", [
+        ("property id", 6), ("method id", 7), ("method result_unit", 5), ("binding prop", 2),
+    ])
+    def test_non_string_names_are_corrupt(self, polygons, field, value):
+        # refused at load, before it can answer wrongly or crash later
+        doc = to_document(polygons)
+        [rb1] = [o for o in doc["objects"] if o["name"] == "Rb1"]
+        [p6] = [p for p in rb1["properties"] if p["id"] == "p6"]
+        [f1] = [m for m in rb1["methods"] if m["id"] == "f1"]
+        owner, key = {
+            "property id": (p6, "id"),
+            "method id": (f1, "id"),
+            "method result_unit": (f1, "result_unit"),
+            "binding prop": (f1["bindings"][0], "prop"),
+        }[field]
+        owner[key] = value
+        with pytest.raises(CorruptDocument, match=f"{field} must be a string"):
+            loads(json.dumps(doc))
+
     def test_family_outside_sum_is_corrupt(self, polygons):
         doc = to_document(polygons)
         [t_pg] = [c for c in doc["classes"] if c["name"] == "T_Pg"]
