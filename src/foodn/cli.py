@@ -9,7 +9,6 @@ number >= 0.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -22,7 +21,7 @@ from .errors import (
 )
 from .evaluator import eval_method
 from .fuzzy import DEFAULT_TOL, FuzzySet, check_tolerance, format_fuzzy_set, format_number
-from .serialize import dumps, export_dot, load_file, save_file, value_to_doc
+from .serialize import encode_json, export_dot, load_file, save_file, value_to_doc
 from .model import Fuzzy
 
 EXPLOITER_ALIASES = {
@@ -38,7 +37,7 @@ EXPLOITER_ALIASES = {
 
 
 def _print_doc(payload):
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(encode_json(payload))
 
 
 def _load(args, tol):

@@ -7,6 +7,8 @@ serializing again yields byte-identical text.
 from __future__ import annotations
 
 import json
+import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import CorruptDocument, FoodnError, SchemaVersionMismatch
 from .fuzzy import DEFAULT_TOL, FuzzySet
@@ -300,8 +302,106 @@ def from_document(doc, tol: float = DEFAULT_TOL) -> Network:
     return net
 
 
+# -- JSON text ----------------------------------------------------------------
+
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_scalar(value) -> str:
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _FLOAT_WORDS.get(text, text)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _emit(value, out: list, nl: str):
+    """Append the JSON text of *value* to *out*; *nl* is a line break and the
+    indentation of the line *value* starts on.
+
+    Strings, floats and nulls, nearly every leaf of a network document, are
+    written inline by their container; any other item takes one more call.
+    The dict and list loops are spelled out twice because one loop over
+    zipped (head, item) pairs measured 40% slower.
+    """
+    inner = nl + "  "
+    after = "," + inner
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        head = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            item = value[key]
+            head += _json_str(key) + ": "
+            kind = type(item)
+            if kind is str:
+                out.append(head + _json_str(item))
+            elif kind is float:
+                text = float.__repr__(item)
+                out.append(head + _FLOAT_WORDS.get(text, text))
+            elif item is None:
+                out.append(head + "null")
+            else:
+                out.append(head)
+                _emit(item, out, inner)
+            head = after
+        out.append(nl + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        head = "[" + inner
+        for item in value:
+            kind = type(item)
+            if kind is str:
+                out.append(head + _json_str(item))
+            elif kind is float:
+                text = float.__repr__(item)
+                out.append(head + _FLOAT_WORDS.get(text, text))
+            elif item is None:
+                out.append(head + "null")
+            else:
+                out.append(head)
+                _emit(item, out, inner)
+            head = after
+        out.append(nl + "]")
+    else:
+        out.append(_json_scalar(value))
+
+
+def _emit_json(doc) -> str:
+    """The text of ``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte,
+    for documents whose keys are all str; other keys raise TypeError."""
+    out: list = []
+    _emit(doc, out, "\n")
+    return "".join(out)
+
+
+def _stdlib_json(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+# Given indent=, json before CPython 3.13 leaves its C encoder for nested
+# Python generators; _emit_json writes the same bytes in about half the time.
+# From 3.13 the C encoder indents and is faster than _emit_json.  Delete
+# _emit_json once requires-python reaches 3.13.
+encode_json = _stdlib_json if sys.version_info >= (3, 13) else _emit_json
+
+
 def dumps(net: Network) -> str:
-    return json.dumps(to_document(net), sort_keys=True, indent=2) + "\n"
+    return encode_json(to_document(net)) + "\n"
 
 
 def loads(text: str, tol: float = DEFAULT_TOL) -> Network:
@@ -324,8 +424,9 @@ def load_file(path: str, tol: float = DEFAULT_TOL):
 
 
 def save_file(net: Network, path: str):
+    text = dumps(net)  # before open() truncates the file, so a failed dumps leaves it whole
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(net))
+        fh.write(text)
 
 
 # -- DOT export ---------------------------------------------------------------

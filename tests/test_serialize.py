@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from foodn import expr
+from foodn import expr, serialize
 from foodn.dsl import parse_network
 from foodn.errors import CorruptDocument, SchemaVersionMismatch, UnknownEntity
 from foodn.fuzzy import make_fuzzy_set
@@ -259,6 +262,97 @@ class TestNetworkDocs:
         assert text.endswith("\n")
         doc = json.loads(text)
         assert list(doc) == sorted(doc)
+
+
+def stdlib_json(doc):
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e300, 0.1, -2.5]
+EDGE_INTS = [2**53 + 1, -(2**63), 10**30, 0, -1]
+# quotes, backslashes, control characters, DEL, Latin-1, a line separator,
+# CJK and a character outside the BMP
+EDGE_CHARS = '"\\/\x00\x08\t\n\r\x1f\x7f a\u00e9\u2028\u4e2d\U0001f600'
+strings = st.text(alphabet=st.sampled_from(EDGE_CHARS), max_size=6) | st.text(max_size=6)
+leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from(EDGE_INTS),
+    st.floats(),
+    st.sampled_from(EDGE_FLOATS),
+    strings,
+)
+json_trees = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(strings, children, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+class TestEmitter:
+    """serialize._emit_json against the stdlib encoder it replaces; called
+    directly, so it is checked on every interpreter, not only below 3.13."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tree=json_trees)
+    def test_matches_stdlib_json(self, tree):
+        assert serialize._emit_json(tree) == stdlib_json(tree)
+
+    @pytest.mark.parametrize("leaf", EDGE_FLOATS + EDGE_INTS + [True, False, None, "", EDGE_CHARS])
+    def test_edge_leaves(self, leaf):
+        for doc in (leaf, [leaf], {"k": leaf}, {"a": [leaf, {EDGE_CHARS: (leaf,)}], "": {}}):
+            assert serialize._emit_json(doc) == stdlib_json(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{1, 2}, object(), {1: "a"}, [{"a": {(1, 2): 0}}], {"a": [b"bytes"]}],
+        ids=["set", "object", "int-key", "nested-tuple-key", "bytes"],
+    )
+    def test_other_types_are_refused(self, doc):
+        with pytest.raises(TypeError):
+            serialize._emit_json(doc)
+
+
+class TestDumpsBytes:
+    """dumps writes exactly what json.dumps(sort_keys=True, indent=2) writes,
+    whichever encoder the interpreter selected."""
+
+    def check(self, net):
+        assert dumps(net) == stdlib_json(to_document(net)) + "\n"
+
+    def test_fixtures(self, polygons, disjoint):
+        self.check(polygons)
+        self.check(disjoint)
+
+    def test_dynamic_network(self, polygons):
+        # provenance, history, changes and retired names all non-empty
+        polygons.apply_modifier("M1_Sq1", "Sq1")
+        polygons.apply_exploiter("clone", ["Rb1"])
+        doc = to_document(polygons)
+        assert doc["provenance"] and doc["history"] and doc["provenance"][0]["changes"]
+        self.check(polygons)
+
+    def test_generated_network(self):
+        self.check(generated_network(300))
+
+    def test_failed_save_keeps_the_file(self, polygons, tmp_path, monkeypatch):
+        path = tmp_path / "net.json"
+        save_file(polygons, str(path))
+        before = path.read_bytes()
+        assert before
+
+        def broken(net):
+            raise RuntimeError("to_document failed")
+
+        monkeypatch.setattr(serialize, "to_document", broken)
+        with pytest.raises(RuntimeError):
+            save_file(polygons, str(path))
+        assert path.read_bytes() == before
 
 
 class TestDot:
