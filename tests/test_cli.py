@@ -61,6 +61,82 @@ class TestGoldenOutputs:
         assert err == golden("disjoint_intersect.txt")
 
 
+WARNED = (
+    'class Target { property p1 "Kind" = 5; }\n'
+    'object O { p1 "Kind" = 1; }\n'
+    'modifier M object O -> O_next target-class Target { p1: 1 -> 2; }\n'
+)
+CRISP = 'object O {\n  p1 "Base" = 6 cm;\n  method f1 "Half" = "b/2" bind b = p1 unit cm;\n}\n'
+WARNING = "3:1: warning: modifier M: the result would not belong to its target class Target"
+RB1_F1_DOC = """{
+  "value": {
+    "elements": [
+      [
+        7.2,
+        0.9
+      ],
+      [
+        8.0,
+        1.0
+      ],
+      [
+        8.4,
+        0.95
+      ]
+    ],
+    "kind": "fuzzy",
+    "unit": "cm"
+  }
+}
+"""
+
+# (argv, stdout) for every subcommand that reports; {polygons}, {warned} and
+# {crisp} name input files and {out} a file to write
+PRINTED = [
+    (["load"], "objects: 2\nclasses: 3\nrelations: 5\nexploiters: 5\nmodifiers: 7\n"),
+    (["load", "--format", "doc"],
+     '{\n  "classes": 3,\n  "exploiters": 5,\n  "modifiers": 7,\n  "objects": 2,\n'
+     '  "relations": 5\n}\n'),
+    (["check"], "ok\n"),
+    (["check", "--format", "doc"], '{\n  "ok": true,\n  "warnings": []\n}\n'),
+    (["check", "--in", "{warned}"], f"warning: {WARNING}\nok\n"),
+    (["check", "--in", "{warned}", "--format", "doc"],
+     f'{{\n  "ok": true,\n  "warnings": [\n    "{WARNING}"\n  ]\n}}\n'),
+    (["membership", "Rb1", "T_Rb"], "0.8\n"),
+    (["membership", "Rb1", "T_Rb", "--format", "doc"], '{\n  "membership": 0.8\n}\n'),
+    (["query", "T_Sq", "a-kind-of", "is-a", "--transitive"], "T_Pg\nT_Rb\n"),
+    (["query", "T_Sq", "a-kind-of", "is-a", "--transitive", "--format", "doc"],
+     '{\n  "related": [\n    "T_Pg",\n    "T_Rb"\n  ]\n}\n'),
+    (["eval", "Rb1", "f1"], "{7.2/0.9 + 8/1 + 8.4/0.95} cm\n"),
+    (["eval", "Rb1", "f1", "--format", "doc"], RB1_F1_DOC),
+    (["eval", "O", "f1", "--in", "{crisp}"], "3 cm\n"),
+    (["eval", "O", "f1", "--in", "{crisp}", "--format", "doc"],
+     '{\n  "value": {\n    "kind": "number",\n    "unit": "cm",\n    "value": 3.0\n  }\n}\n'),
+    (["apply-exploiter", "intersection", "T_Rb", "T_Sq"], "created intersection_T_Rb_T_Sq\n"),
+    (["apply-exploiter", "intersection", "T_Rb", "T_Sq", "--format", "doc"],
+     '{\n  "created": "intersection_T_Rb_T_Sq"\n}\n'),
+    (["apply-modifier", "M1_Sq1", "Sq1"], "created Rb1_2\n"),
+    (["apply-modifier", "M1_Sq1", "Sq1", "--format", "doc"], '{\n  "created": "Rb1_2"\n}\n'),
+    (["save", "--out", "{out}"], ""),
+    (["export-dot", "--out", "{out}"], ""),
+]
+
+
+class TestPrintedOutput:
+    @pytest.mark.parametrize("argv, expected", PRINTED, ids=[" ".join(a) for a, _ in PRINTED])
+    def test_stdout(self, tmp_path, argv, expected):
+        files = {"polygons": POLYGONS, "out": str(tmp_path / "out")}
+        for name, text in (("warned", WARNED), ("crisp", CRISP)):
+            files[name] = str(tmp_path / f"{name}.foodn")
+            Path(files[name]).write_text(text)
+        if "--in" not in argv:
+            argv = [*argv, "--in", "{polygons}"]
+        code, out, err = run_cli(*(arg.format(**files) for arg in argv))
+        assert (code, out, err) == (0, expected, "")
+        if "{out}" in argv:
+            assert Path(files["out"]).stat().st_size > 0
+
+
 class TestCommands:
     def test_check(self):
         code, out, err = run_cli("check", "--in", POLYGONS)
