@@ -20,9 +20,9 @@ from .errors import (
     SchemaVersionMismatch,
 )
 from .evaluator import eval_method
-from .fuzzy import DEFAULT_TOL, FuzzySet, check_tolerance, format_fuzzy_set, format_number
+from .fuzzy import DEFAULT_TOL, FuzzySet, check_tolerance, format_number
+from .model import CrispNumber, Fuzzy, format_value
 from .serialize import encode_json, export_dot, load_file, save_file, value_to_doc
-from .model import Fuzzy
 
 EXPLOITER_ALIASES = {
     "union": "union",
@@ -35,25 +35,13 @@ EXPLOITER_ALIASES = {
     "clone": "clone",
 }
 
-
-def _print_doc(payload):
-    print(encode_json(payload))
-
-
-def _load(args, tol):
-    net, warnings = load_file(args.infile, tol)
-    for w in warnings:
-        print(f"{args.infile}:{w}", file=sys.stderr)
-    return net
+# Each subcommand takes the loaded network, the parsed arguments and the load
+# warnings, and returns its answer twice: as the document --format doc prints
+# and as the lines of the text format.  main() does the loading, printing
+# and saving for all of them.
 
 
-def _maybe_save(net, args):
-    if getattr(args, "outfile", None):
-        save_file(net, args.outfile)
-
-
-def cmd_load(args, tol):
-    net = _load(args, tol)
+def cmd_load(net, args, warnings):
     counts = {
         "objects": len(net.objects),
         "classes": len(net.classes),
@@ -61,124 +49,66 @@ def cmd_load(args, tol):
         "exploiters": len(net.exploiters),
         "modifiers": len(net.modifiers),
     }
-    if args.format == "doc":
-        _print_doc(counts)
-    else:
-        for key in ("objects", "classes", "relations", "exploiters", "modifiers"):
-            print(f"{key}: {counts[key]}")
-    _maybe_save(net, args)
-    return 0
+    return counts, [f"{key}: {n}" for key, n in counts.items()]
 
 
-def cmd_check(args, tol):
-    net, warnings = load_file(args.infile, tol)
-    if args.format == "doc":
-        _print_doc({"ok": True, "warnings": [str(w) for w in warnings]})
-        return 0
-    for w in warnings:
-        print(f"warning: {w}")
-    print("ok")
-    return 0
+def cmd_check(net, args, warnings):
+    doc = {"ok": True, "warnings": [str(w) for w in warnings]}
+    return doc, [f"warning: {w}" for w in warnings] + ["ok"]
 
 
-def cmd_fuzzy(args, tol):
-    net = _load(args, tol)
+def cmd_fuzzy(net, args, warnings):
     verdict, witnesses = net.is_fuzzy()
-    if args.format == "doc":
-        _print_doc(
-            {
-                "fuzzy": verdict,
-                "witnesses": [
-                    {"name": w.name, "kind": w.kind, "details": list(w.details)}
-                    for w in witnesses
-                ],
-            }
-        )
-        return 0
-    print(f"fuzzy: {'true' if verdict else 'false'}")
-    for w in witnesses:
-        print(f"{w.name} [{w.kind}]: {', '.join(w.details)}")
-    return 0
+    found = [{"name": w.name, "kind": w.kind, "details": list(w.details)} for w in witnesses]
+    lines = [f"fuzzy: {'true' if verdict else 'false'}"]
+    lines += [f"{w.name} [{w.kind}]: {', '.join(w.details)}" for w in witnesses]
+    return {"fuzzy": verdict, "witnesses": found}, lines
 
 
-def cmd_membership(args, tol):
-    net = _load(args, tol)
+def cmd_membership(net, args, warnings):
     degree = net.membership(args.object, args.klass, args.tnorm)
-    if args.format == "doc":
-        _print_doc({"membership": degree})
-    else:
-        print(format_number(degree))
-    return 0
+    return {"membership": degree}, [format_number(degree)]
 
 
-def cmd_query(args, tol):
-    net = _load(args, tol)
+def cmd_query(net, args, warnings):
     names = net.query_related(args.name, args.kinds, args.direction, args.transitive)
-    if args.format == "doc":
-        _print_doc({"related": names})
-    else:
-        for name in names:
-            print(name)
-    return 0
+    return {"related": names}, names
 
 
-def cmd_eval(args, tol):
-    net = _load(args, tol)
+def cmd_eval(net, args, warnings):
     entity = net.entity(args.entity)
-    value = eval_method(entity, args.method, tol)
+    value = eval_method(entity, args.method, net.tol)
     if isinstance(value, FuzzySet):
-        if args.format == "doc":
-            _print_doc({"value": value_to_doc(Fuzzy(value))})
-        else:
-            print(format_fuzzy_set(value))
-        return 0
-    method = entity.get_method(args.method)
-    if args.format == "doc":
-        _print_doc({"value": {"kind": "number", "value": value, "unit": method.result_unit}})
+        value = Fuzzy(value)
     else:
-        text = format_number(value)
-        print(f"{text} {method.result_unit}" if method.result_unit else text)
-    return 0
+        value = CrispNumber(value, entity.get_method(args.method).result_unit)
+    return {"value": value_to_doc(value)}, [format_value(value)]
 
 
-def cmd_apply_exploiter(args, tol):
-    net = _load(args, tol)
+def _created(name):
+    return {"created": name}, [f"created {name}"]
+
+
+def cmd_apply_exploiter(net, args, warnings):
     kind = EXPLOITER_ALIASES[args.kind]
-    name = net.apply_exploiter(kind, args.names, args.name, args.index)
-    if args.format == "doc":
-        _print_doc({"created": name})
-    else:
-        print(f"created {name}")
-    _maybe_save(net, args)
-    return 0
+    return _created(net.apply_exploiter(kind, args.names, args.name, args.index))
 
 
-def cmd_apply_modifier(args, tol):
-    net = _load(args, tol)
-    name = net.apply_modifier(args.modifier, args.entity)
-    if args.format == "doc":
-        _print_doc({"created": name})
-    else:
-        print(f"created {name}")
-    _maybe_save(net, args)
-    return 0
+def cmd_apply_modifier(net, args, warnings):
+    return _created(net.apply_modifier(args.modifier, args.entity))
 
 
-def cmd_export_dot(args, tol):
-    net = _load(args, tol)
+def cmd_export_dot(net, args, warnings):
     text = export_dot(net, args.overlay or ())
-    if args.outfile:
-        with open(args.outfile, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
-    return 0
+    if args.dest is None:
+        return None, text.split("\n")[:-1]  # every DOT line ends with a newline
+    with open(args.dest, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return None, []
 
 
-def cmd_save(args, tol):
-    net = _load(args, tol)
-    save_file(net, args.outfile)
-    return 0
+def cmd_save(net, args, warnings):
+    return None, []  # main() writes --out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("export-dot", cmd_export_dot, "render the relation graph as DOT", fmt=False)
     sp.add_argument("--overlay", nargs="+", help="draw exploiter results over these entities")
-    sp.add_argument("--out", dest="outfile")
+    sp.add_argument("--out", dest="dest", metavar="OUTFILE")
 
     sp = add("save", cmd_save, "rewrite a network as a canonical JSON document", fmt=False)
     sp.add_argument("--out", dest="outfile", required=True)
@@ -245,20 +175,29 @@ def main(argv=None) -> int:
         print(f"error: FOODN_TOLERANCE must be a finite number >= 0, got {raw!r}", file=sys.stderr)
         return 2
     try:
-        return args.func(args, tol)
+        net, warnings = load_file(args.infile, tol)
+        if args.command != "check":  # check reports its warnings on stdout
+            for w in warnings:
+                print(f"{args.infile}:{w}", file=sys.stderr)
+        doc, lines = args.func(net, args, warnings)
+        if getattr(args, "format", None) == "doc":
+            print(encode_json(doc))
+        else:
+            for line in lines:
+                print(line)
+        if getattr(args, "outfile", None):
+            save_file(net, args.outfile)
+        return 0
     except DslError as exc:
         for diag in exc.diagnostics:
             print(f"{args.infile}:{diag}", file=sys.stderr)
         return 2
-    except (SchemaVersionMismatch, CorruptDocument, ExprSyntaxError) as exc:
+    except (SchemaVersionMismatch, CorruptDocument, ExprSyntaxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FoodnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":
