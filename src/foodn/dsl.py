@@ -175,6 +175,7 @@ def _tokenize(text: str):
 class _Parser:
     def __init__(self, text: str):
         self.tokens, self.diags = _tokenize(text)
+        self.cut = bool(self.diags)  # the tokenizer stopped at a bad character and said so
         self.i = 0
         self.steps = []  # (phase, first token, function, args): function(net, *args)
 
@@ -195,7 +196,8 @@ class _Parser:
 
     def error(self, message: str, tok: Token | None = None):
         tok = tok or self.peek()
-        self.diags.append(ParseDiagnostic("error", message, tok.line, tok.col))
+        if not (self.cut and tok.kind == "eof"):  # no second diagnostic where the text was cut
+            self.diags.append(ParseDiagnostic("error", message, tok.line, tok.col))
         raise _Bail()
 
     def expect(self, kind: str, value=None, what: str | None = None) -> Token:

@@ -327,6 +327,14 @@ class TestTokenizer:
         first = errors_of(text)[0]
         assert (first.message, first.line, first.col) == (message, *position)
 
+    @pytest.mark.parametrize("text, message, position", [
+        ('class T {\n  property p1 "a\\\nb" = 1;\n  bogus;\n}', "unterminated string", (2, 15)),
+        ('class T {\n  property p1 "P" = 4 @ ;\n  bogus;\n}', "unexpected character '@'", (2, 23)),
+    ])
+    def test_bad_character_is_one_diagnostic(self, text, message, position):
+        # the parser reports nothing at the end-of-file token the tokenizer put there
+        assert [(d.message, d.line, d.col) for d in errors_of(text)] == [(message, *position)]
+
 
 class TestWarnings:
     def test_reflection_lint(self):
