@@ -392,6 +392,8 @@ class HeterogeneousClass:
             raise ValueError("class name must be non-empty")
         if len(self.projections) < 2:
             raise ValueError("a heterogeneous class needs at least two projections")
+        if not all(isinstance(p, ClassSpec) for p in self.projections):
+            raise ValueError(f"{self.name}: every projection must be a homogeneous class")
         names = [p.name for p in self.projections]
         if len(set(names)) != len(names):
             raise DuplicateId(f"{self.name}: duplicate projection {names!r}")

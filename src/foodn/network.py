@@ -336,6 +336,8 @@ class Network:
         if kind == "clone":
             if len(entities) != 1:
                 raise ArityError(f"clone takes one entity, got {len(entities)}")
+            if result_name is not None:
+                raise ArityError("clone names its result from its index; it takes no result name")
             if index is None:
                 index = next(i for i in count(1) if not self._live(f"{names[0]}_clone{i}"))
             result = _exp.clone_op(entities[0], index)
@@ -345,6 +347,8 @@ class Network:
             self._record("clone", names, result.name)
             return result.name
 
+        if index is not None:
+            raise ArityError(f"{kind} takes no index; only clone does")
         if result_name is None:
             result_name = f"{kind}_" + "_".join(names)
         if self._live(result_name):

@@ -72,30 +72,41 @@ def value_to_doc(value) -> dict:
     raise TypeError(f"not a property value: {value!r}")
 
 
-def value_from_doc(doc):
+def _refused(what: str, build, *args):
+    """build(*args), raising whatever it refuses in a document as CorruptDocument."""
     try:
-        kind = doc["kind"]
-        if kind == "number":
-            return CrispNumber(float(doc["value"]), doc["unit"])
-        if kind == "tuple":
-            return CrispTuple(tuple(float(v) for v in doc["values"]), doc["unit"])
-        if kind == "interval":
-            return Interval(
-                float(doc["lo"]), float(doc["hi"]), doc["unit"], doc["lo_open"], doc["hi_open"]
-            )
-        if kind == "truth":
-            return TruthDegree(float(doc["value"]))
-        if kind == "fuzzy-marker":
-            return FuzzyMarker()
-        if kind == "absent":
-            return Absent()
-        if kind == "fuzzy":
-            return Fuzzy(_fs_from(doc))
-        if kind == "fuzzy-tuple":
-            return FuzzyTuple(tuple(_fs_from(v) for v in doc["values"]))
-    except (KeyError, TypeError) as exc:
-        raise CorruptDocument(f"bad value document {doc!r}: {exc}") from exc
-    raise CorruptDocument(f"unknown value kind {doc.get('kind')!r}")
+        return build(*args)
+    except CorruptDocument:
+        raise
+    except (KeyError, TypeError, ValueError, FoodnError) as exc:
+        raise CorruptDocument(f"{what}: {exc}") from exc
+
+
+def value_from_doc(doc):
+    return _refused("bad value document", _value_from, doc)
+
+
+def _value_from(doc):
+    kind = doc["kind"]
+    if kind == "number":
+        return CrispNumber(float(doc["value"]), doc["unit"])
+    if kind == "tuple":
+        return CrispTuple(tuple(float(v) for v in doc["values"]), doc["unit"])
+    if kind == "interval":
+        return Interval(
+            float(doc["lo"]), float(doc["hi"]), doc["unit"], doc["lo_open"], doc["hi_open"]
+        )
+    if kind == "truth":
+        return TruthDegree(float(doc["value"]))
+    if kind == "fuzzy-marker":
+        return FuzzyMarker()
+    if kind == "absent":
+        return Absent()
+    if kind == "fuzzy":
+        return Fuzzy(_fs_from(doc))
+    if kind == "fuzzy-tuple":
+        return FuzzyTuple(tuple(_fs_from(v) for v in doc["values"]))
+    raise CorruptDocument(f"unknown value kind {kind!r}")
 
 
 # -- entities -----------------------------------------------------------------
@@ -106,10 +117,7 @@ def _property_doc(p: Property) -> dict:
 
 
 def _property_from(doc) -> Property:
-    try:
-        return Property(doc["id"], doc["semantic"], value_from_doc(doc["value"]))
-    except (KeyError, TypeError) as exc:
-        raise CorruptDocument(f"bad property document: {exc}") from exc
+    return Property(doc["id"], doc["semantic"], _value_from(doc["value"]))
 
 
 def _method_doc(m: MethodDef) -> dict:
@@ -127,15 +135,12 @@ def _method_doc(m: MethodDef) -> dict:
 
 def _method_from(doc, methods: dict) -> MethodDef:
     """The MethodDef of *doc*, built once per distinct document in *methods*."""
-    try:
-        mid, semantic, body, unit = doc["id"], doc["semantic"], doc["body"], doc["result_unit"]
-        bindings = tuple((b["var"], b["prop"], b["accessor"], b["index"]) for b in doc["bindings"])
-        key = repr((mid, semantic, body, unit, bindings))  # repr keeps 1, 1.0 and true apart
-        if key not in methods:
-            methods[key] = MethodDef(mid, semantic, body, tuple(Binding(*b) for b in bindings), unit)
-        return methods[key]
-    except (KeyError, TypeError) as exc:
-        raise CorruptDocument(f"bad method document: {exc}") from exc
+    mid, semantic, body, unit = doc["id"], doc["semantic"], doc["body"], doc["result_unit"]
+    bindings = tuple((b["var"], b["prop"], b["accessor"], b["index"]) for b in doc["bindings"])
+    key = repr((mid, semantic, body, unit, bindings))  # repr keeps 1, 1.0 and true apart
+    if key not in methods:
+        methods[key] = MethodDef(mid, semantic, body, tuple(Binding(*b) for b in bindings), unit)
+    return methods[key]
 
 
 def entity_to_doc(entity) -> dict:
@@ -168,34 +173,32 @@ def entity_to_doc(entity) -> dict:
 
 
 def entity_from_doc(doc):
-    return _entity_from(doc, {})
+    return _refused("bad entity document", _entity_from, doc, {})
 
 
 def _entity_from(doc, methods: dict):
-    try:
-        kind = doc["kind"]
-        if kind == "object":
-            return FuzzyObject(
-                doc["name"],
-                tuple(_property_from(p) for p in doc["properties"]),
-                tuple(_method_from(m, methods) for m in doc["methods"]),
-                doc["declared_class"],
-            )
-        if kind == "class":
-            return ClassSpec(
-                doc["name"],
-                tuple(_property_from(p) for p in doc["properties"]),
-                tuple(_method_from(m, methods) for m in doc["methods"]),
-                doc["mode"],
-                tuple(doc["extension"]),
-            )
-        if kind == "heterogeneous-class":
-            return HeterogeneousClass(
-                doc["name"], tuple(_entity_from(p, methods) for p in doc["projections"])
-            )
-    except (KeyError, TypeError) as exc:
-        raise CorruptDocument(f"bad entity document: {exc}") from exc
-    raise CorruptDocument(f"unknown entity kind {doc.get('kind')!r}")
+    kind = doc["kind"]
+    if kind == "object":
+        return FuzzyObject(
+            doc["name"],
+            tuple(_property_from(p) for p in doc["properties"]),
+            tuple(_method_from(m, methods) for m in doc["methods"]),
+            doc["declared_class"],
+        )
+    if kind == "class":
+        return ClassSpec(
+            doc["name"],
+            tuple(_property_from(p) for p in doc["properties"]),
+            tuple(_method_from(m, methods) for m in doc["methods"]),
+            doc["mode"],
+            tuple(doc["extension"]),
+        )
+    if kind == "heterogeneous-class":
+        projections = doc["projections"]
+        if any(p["kind"] != "class" for p in projections):  # checked before recursing into them
+            raise ValueError(f"{doc['name']}: every projection must be a homogeneous class")
+        return HeterogeneousClass(doc["name"], tuple(_entity_from(p, methods) for p in projections))
+    raise CorruptDocument(f"unknown entity kind {kind!r}")
 
 
 # -- networks -----------------------------------------------------------------
@@ -206,10 +209,7 @@ def _change_doc(c: Change) -> dict:
 
 
 def _change_from(doc) -> Change:
-    try:
-        return Change(doc["prop"], value_from_doc(doc["before"]), value_from_doc(doc["after"]))
-    except (KeyError, TypeError) as exc:
-        raise CorruptDocument(f"bad change document: {exc}") from exc
+    return Change(doc["prop"], _value_from(doc["before"]), _value_from(doc["after"]))
 
 
 def to_document(net: Network) -> dict:
@@ -262,43 +262,42 @@ def from_document(doc, tol: float = DEFAULT_TOL) -> Network:
     for key in required:
         if key not in doc:
             raise CorruptDocument(f"missing key {key!r}")
+    # whatever the network refuses to build from the document is the
+    # document's fault, not a domain error of the operation that loaded it
+    return _refused("bad network document", _network_from, doc, tol)
+
+
+def _network_from(doc, tol: float) -> Network:
     net = Network(tol)
     methods: dict = {}  # one MethodDef per distinct method document in this load
-    try:
-        net.history = dict(doc["history"])
-        for edoc in doc["classes"]:
-            net.add(_entity_from(edoc, methods))
-        for edoc in doc["objects"]:
-            net.add(_entity_from(edoc, methods))
-        for rdoc in doc["relations"]:
-            net.add_relation(rdoc["source"], rdoc["target"], rdoc["kind"], rdoc["degree"])
-        for mdoc in doc["modifiers"]:
-            net.register_modifier(
-                Modifier(
-                    mdoc["name"],
-                    mdoc["level"],
-                    mdoc["source"],
-                    mdoc["target_name"],
-                    tuple(_change_from(c) for c in mdoc["changes"]),
-                    mdoc["target_class"],
-                )
+    net.history = dict(doc["history"])
+    for edoc in doc["classes"]:
+        net.add(_entity_from(edoc, methods))
+    for edoc in doc["objects"]:
+        net.add(_entity_from(edoc, methods))
+    for rdoc in doc["relations"]:
+        net.add_relation(rdoc["source"], rdoc["target"], rdoc["kind"], rdoc["degree"])
+    for mdoc in doc["modifiers"]:
+        net.register_modifier(
+            Modifier(
+                mdoc["name"],
+                mdoc["level"],
+                mdoc["source"],
+                mdoc["target_name"],
+                tuple(_change_from(c) for c in mdoc["changes"]),
+                mdoc["target_class"],
             )
-        for pdoc in doc["provenance"]:
-            net.provenance.append(
-                ProvenanceRecord(
-                    int(pdoc["seq"]),
-                    pdoc["op"],
-                    tuple(pdoc["sources"]),
-                    pdoc["target"],
-                    tuple(_change_from(c) for c in pdoc["changes"]),
-                )
+        )
+    for pdoc in doc["provenance"]:
+        net.provenance.append(
+            ProvenanceRecord(
+                int(pdoc["seq"]),
+                pdoc["op"],
+                tuple(pdoc["sources"]),
+                pdoc["target"],
+                tuple(_change_from(c) for c in pdoc["changes"]),
             )
-    except CorruptDocument:
-        raise
-    except (KeyError, TypeError, ValueError, FoodnError) as exc:
-        # whatever the network refuses to build from the document is the
-        # document's fault, not a domain error of the operation that loaded it
-        raise CorruptDocument(f"bad network document: {exc}") from exc
+        )
     return net
 
 
@@ -407,7 +406,7 @@ def dumps(net: Network) -> str:
 def loads(text: str, tol: float = DEFAULT_TOL) -> Network:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise CorruptDocument(f"not valid JSON: {exc}") from exc
     return from_document(doc, tol)
 

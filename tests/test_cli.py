@@ -303,6 +303,37 @@ class TestExitCodes:
         assert err.startswith("error: bad network document:")
         assert "Traceback" not in err
 
+    def test_too_deep_document_is_2(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run_cli("load", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: not valid JSON:") and "Traceback" not in err
+
+    def test_nested_heterogeneous_projection_is_2(self, tmp_path):
+        # union refuses heterogeneous arguments, so no network holds such a class
+        doc = to_document(load_file(POLYGONS)[0])
+        het = {"kind": "heterogeneous-class", "name": "H0", "projections": doc["classes"][:2]}
+        for depth in range(1, 300):
+            projections = [het, {**doc["classes"][2], "name": f"S{depth}"}]
+            het = {"kind": "heterogeneous-class", "name": f"H{depth}", "projections": projections}
+        doc["classes"].append(het)
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli("membership", "Rb1", "H299", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad network document:") and "Traceback" not in err
+        assert "every projection must be a homogeneous class" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["clone", "Rb1", "--name", "Foo"],
+        ["union", "Rb1", "Sq1", "--index", "4"],
+    ])
+    def test_exploiter_arguments_that_do_not_apply_are_1(self, argv):
+        code, out, err = run_cli("apply-exploiter", *argv, "--in", POLYGONS)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_non_integer_binding_index_is_2(self, tmp_path):
         doc = to_document(load_file(POLYGONS)[0])
         [rb1] = [o for o in doc["objects"] if o["name"] == "Rb1"]

@@ -252,6 +252,16 @@ class TestEntities:
         with pytest.raises(DuplicateId):
             HeterogeneousClass("U", (a, a))
 
+    def test_heterogeneous_projections_are_homogeneous_classes(self):
+        # what union can build: a heterogeneous argument is refused there too
+        a = define_class("A", [prop("p1", "S", Absent())])
+        b = define_class("B", [prop("p2", "W", Absent())])
+        inner = HeterogeneousClass("U", (a, b))
+        with pytest.raises(ValueError, match="homogeneous class"):
+            HeterogeneousClass("V", (inner, define_class("C", [prop("p3", "X", Absent())])))
+        with pytest.raises(ValueError, match="homogeneous class"):
+            HeterogeneousClass("V", (a, define_object("O", [prop("p1", "S", CrispNumber(1.0))])))
+
     def test_objects_reject_abstract_values(self):
         with pytest.raises(AbstractValueOnObject):
             define_object("O", [prop("p1", "S", FuzzyMarker())])

@@ -263,6 +263,15 @@ class TestExploiterApplication:
         with pytest.raises(ArityError):
             polygons.apply_exploiter("clone", ["Rb1", "Sq1"])
 
+    def test_arguments_an_exploiter_does_not_take_are_refused(self, polygons):
+        before = dumps(polygons)
+        with pytest.raises(ArityError, match="no result name"):
+            polygons.apply_exploiter("clone", ["Rb1"], result_name="Foo")
+        for kind in ("union", "intersection", "difference", "sym-difference"):
+            with pytest.raises(ArityError, match="no index"):
+                polygons.apply_exploiter(kind, ["T_Rb", "T_Sq"], index=4)
+        assert dumps(polygons) == before
+
 
 class TestModifierApplication:
     def test_object_round_trip(self, polygons):

@@ -91,6 +91,15 @@ class TestValueDocs:
         with pytest.raises(CorruptDocument):
             value_from_doc({"kind": "number"})
 
+    @pytest.mark.parametrize("doc", [
+        {"kind": "interval", "lo": 2.0, "hi": 1.0, "unit": "cm", "lo_open": True, "hi_open": True},
+        {"kind": "number", "value": "abc", "unit": None},
+        {"kind": "truth", "value": 2},
+    ], ids=["empty interval", "number text", "truth above one"])
+    def test_refused_values_are_corrupt(self, doc):
+        with pytest.raises(CorruptDocument, match="bad value document"):
+            value_from_doc(doc)
+
 
 class TestEntityDocs:
     def test_class_round_trip(self, polygons):
@@ -110,6 +119,19 @@ class TestEntityDocs:
             define_class("B", [Property("p2", "W", CrispNumber(2.0, "kg"))]),
         ))
         assert entity_from_doc(entity_to_doc(het)) == het
+
+    @pytest.mark.parametrize("refused", ["no members", "heterogeneous projection"])
+    def test_refused_entities_are_corrupt(self, refused):
+        a = define_class("A", [Property("p1", "S", Absent())])
+        b = define_class("B", [Property("p2", "W", Absent())])
+        if refused == "no members":
+            doc = {**entity_to_doc(a), "properties": []}
+        else:
+            inner = HeterogeneousClass("U", (a, b))
+            projections = [entity_to_doc(inner), entity_to_doc(a)]
+            doc = {"kind": "heterogeneous-class", "name": "V", "projections": projections}
+        with pytest.raises(CorruptDocument, match="bad entity document"):
+            entity_from_doc(doc)
 
     def test_member_lists_are_sorted_by_id(self):
         cls = define_class("T", [
@@ -178,6 +200,10 @@ class TestNetworkDocs:
         del doc["objects"][0]["properties"][0]["semantic"]
         with pytest.raises(CorruptDocument):
             from_document(doc)
+
+    def test_too_deep_json_is_corrupt(self):
+        with pytest.raises(CorruptDocument, match="not valid JSON"):
+            loads("[" * 100000 + "]" * 100000)
 
     def test_too_deep_method_body_is_corrupt(self, polygons):
         doc = to_document(polygons)
