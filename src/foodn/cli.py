@@ -35,6 +35,7 @@ EXPLOITER_ALIASES = {
     "clone": "clone",
 }
 
+
 # Each subcommand takes the loaded network, the parsed arguments and the load
 # warnings, and returns its answer twice: as the document --format doc prints
 # and as the lines of the text format.  main() does the loading, printing

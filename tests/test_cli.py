@@ -144,11 +144,7 @@ class TestCommands:
 
     def test_check_reports_warnings(self, tmp_path):
         path = tmp_path / "warned.foodn"
-        path.write_text(
-            'class Target { property p1 "Kind" = 5; }\n'
-            'object O { p1 "Kind" = 1; }\n'
-            'modifier M object O -> O_next target-class Target { p1: 1 -> 2; }\n'
-        )
+        path.write_text(WARNED)
         code, out, err = run_cli("check", "--in", str(path))
         assert code == 0
         assert out.startswith("warning: 3:1: warning: modifier M")
@@ -170,12 +166,7 @@ class TestCommands:
 
     def test_eval_crisp_result_carries_unit(self, tmp_path):
         path = tmp_path / "crisp.foodn"
-        path.write_text(
-            'object O {\n'
-            '  p1 "Base" = 6 cm;\n'
-            '  method f1 "Half" = "b/2" bind b = p1 unit cm;\n'
-            '}\n'
-        )
+        path.write_text(CRISP)
         code, out, _ = run_cli("eval", "O", "f1", "--in", str(path))
         assert (code, out) == (0, "3 cm\n")
 
