@@ -39,11 +39,13 @@ come back alongside the network.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
+from ._gc import collector_paused
 from .errors import DslError, FoodnError, SemanticMismatch
 from .fuzzy import DEFAULT_TOL, make_fuzzy_set
 from .model import (
@@ -212,7 +214,10 @@ class _Parser:
         return self.expect("ident", what=what).value
 
     def number(self, what: str = "a number") -> float:
-        return self.expect("number", what=what).value
+        tok = self.expect("number", what=what)
+        if not math.isfinite(tok.value):
+            self.error(f"number out of range: the literal overflows to {tok.value!r}", tok)
+        return tok.value
 
     def integer(self, what: str = "an integer") -> int:
         tok = self.peek()
@@ -310,8 +315,7 @@ class _Parser:
     def value(self):
         tok = self.peek()
         if tok.kind == "number":
-            self.take()
-            return CrispNumber(tok.value, self.opt_unit())
+            return CrispNumber(self.number(), self.opt_unit())
         if self.at("punct", "{"):
             pairs = self.fuzzy_literal()
             return Fuzzy(make_fuzzy_set(pairs, self.opt_unit()))
@@ -339,7 +343,7 @@ class _Parser:
         elements = []
         while True:
             if self.peek().kind == "number":
-                elements.append(self.take().value)
+                elements.append(self.number())
             elif self.at("punct", "{"):
                 elements.append(self.fuzzy_literal())
             else:
@@ -364,7 +368,7 @@ class _Parser:
             pairs = self.fuzzy_literal()
             element = Fuzzy(make_fuzzy_set(pairs, self.opt_unit()))
         elif self.peek().kind == "number":
-            element = CrispNumber(self.take().value, self.opt_unit())
+            element = CrispNumber(self.number(), self.opt_unit())
         else:
             self.error("expected a number or fuzzy set to repeat")
         self.expect("punct", "]")
@@ -636,6 +640,7 @@ def _lint(net, diags, name, tok):
         diags.append(ParseDiagnostic("warning", message, tok.line, tok.col))
 
 
+@collector_paused
 def parse_network(text: str, tol: float = DEFAULT_TOL):
     """Parse network text.
 

@@ -32,38 +32,38 @@ MAX_DEPTH = 100
 
 
 class Expr:
-    pass
+    __slots__ = ()  # so that the slotted nodes carry no __dict__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Num(Expr):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neg(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bin(Expr):
     op: str
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call(Expr):
     func: str
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sum(Expr):
     var: str
 

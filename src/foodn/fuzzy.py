@@ -60,8 +60,9 @@ def check_tolerance(tol: float) -> float:
 
 
 def format_number(x: float) -> str:
-    """Shortest faithful rendering; integral values drop the decimal point."""
-    if x == int(x) and abs(x) < 1e16:
+    """Shortest faithful rendering; integral values drop the decimal point,
+    and non-finite values read inf, -inf or nan."""
+    if abs(x) < 1e16 and x == int(x):
         return str(int(x))
     return repr(x)
 
@@ -83,7 +84,7 @@ def merge_pairs(pairs, tol: float = DEFAULT_TOL):
     return tuple((s, d) for s, d in merged if d > 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FuzzySet:
     """A discrete fuzzy set in canonical form.
 

@@ -8,6 +8,7 @@ those degrees with a t-norm.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -33,13 +34,17 @@ from .fuzzy import (
 # -- property values ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrispNumber:
     value: float
     unit: str | None = None
 
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ValueError(f"a number must be finite, got {self.value!r}")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class CrispTuple:
     values: tuple[float, ...]
     unit: str | None = None
@@ -47,9 +52,11 @@ class CrispTuple:
     def __post_init__(self):
         if not self.values:
             raise ValueError("a tuple value needs at least one component")
+        if not all(map(math.isfinite, self.values)):
+            raise ValueError(f"tuple components must be finite, got {self.values!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """A range constraint; bounds are open unless flagged closed."""
 
@@ -60,6 +67,8 @@ class Interval:
     hi_open: bool = True
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"interval bounds must be finite, got lo={self.lo!r}, hi={self.hi!r}")
         if not self.lo < self.hi:
             raise ValueError(f"empty interval: lo={self.lo!r}, hi={self.hi!r}")
 
@@ -69,7 +78,7 @@ class Interval:
         return above and below
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TruthDegree:
     """A graded truth value for yes/no-flavoured properties."""
 
@@ -79,22 +88,22 @@ class TruthDegree:
         check_degree(self.value, "truth degree")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FuzzyMarker:
     """Class-side declaration that the property is fuzzy-valued."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Absent:
     """Class-side declaration that the property does not apply."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fuzzy:
     value: FuzzySet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FuzzyTuple:
     values: tuple[FuzzySet, ...]
 
@@ -164,7 +173,7 @@ def _check_strings(owner: str, **fields):
             raise ValueError(f"{owner} {name} must be a string, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Property:
     id: str
     semantic: str
@@ -179,7 +188,7 @@ class Property:
             raise ValueError("property semantic must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Binding:
     """Ties a body variable to a property selector of the evaluated entity.
 
@@ -202,7 +211,7 @@ class Binding:
             raise ValueError(f"component indexes are 1-based integers, got {self.index!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MethodDef:
     """A method.  Its body is parsed, checked and compiled once, when it is
     built; ``program`` is a function of one slot per binding, in order."""
@@ -333,6 +342,8 @@ def compat_degree(obj_prop: Property, class_prop: Property, tol: float = DEFAULT
 class _Specified:
     """Shared lookups over specification/signature tuples."""
 
+    __slots__ = ()  # so that the slotted entities carry no __dict__
+
     def get_property(self, pid: str) -> Property | None:
         for p in self.specification:
             if p.id == pid:
@@ -354,7 +365,7 @@ def _check_ids(name, specification, signature):
         seen.add(item.id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassSpec(_Specified):
     """An intensional or extensional fuzzy class."""
 
@@ -380,7 +391,7 @@ class ClassSpec(_Specified):
                 raise ExtensionMissing(f"class {self.name}: extensional classes need members")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HeterogeneousClass:
     """A union-typed class: one projection per source class, unmerged."""
 
@@ -399,7 +410,7 @@ class HeterogeneousClass:
             raise DuplicateId(f"{self.name}: duplicate projection {names!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FuzzyObject(_Specified):
     name: str
     specification: tuple[Property, ...] = ()

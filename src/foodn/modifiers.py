@@ -20,18 +20,22 @@ from .model import (
     HeterogeneousClass,
     Property,
     PropertyValue,
+    _check_strings,
     format_value,
     value_equivalent,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Change:
     prop: str
     before: PropertyValue
     after: PropertyValue
 
     def __post_init__(self):
+        _check_strings("change", prop=self.prop)
+        if not self.prop:
+            raise ValueError("change property id must be non-empty")
         if value_equivalent(self.before, self.after):
             raise InvalidChange(
                 f"change to {self.prop} must alter the value, both sides are "
@@ -39,7 +43,7 @@ class Change:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Modifier:
     name: str
     level: str  # "object" or "class"
@@ -49,6 +53,13 @@ class Modifier:
     target_class: str | None = None
 
     def __post_init__(self):
+        names = {"name": self.name, "source": self.source, "target_name": self.target_name}
+        if self.target_class is not None:
+            names["target_class"] = self.target_class
+        _check_strings("modifier", **names)
+        empty = [key for key, text in names.items() if not text]
+        if empty:
+            raise ValueError(f"modifier {self.name!r}: {', '.join(empty)} must be non-empty")
         if self.level not in ("object", "class"):
             raise ValueError(f"modifier level must be object or class, got {self.level!r}")
         if not self.changes:

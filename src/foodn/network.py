@@ -57,7 +57,7 @@ _ENDPOINT_RULES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Relation:
     source: str
     target: str
@@ -76,7 +76,7 @@ class Relation:
         return text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     """One reason a network is fuzzy."""
 
@@ -85,7 +85,7 @@ class Witness:
     details: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProvenanceRecord:
     seq: int
     op: str

@@ -10,6 +10,7 @@ import json
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
 
+from ._gc import collector_paused
 from .errors import CorruptDocument, FoodnError, SchemaVersionMismatch
 from .fuzzy import DEFAULT_TOL, FuzzySet
 from .model import (
@@ -78,7 +79,7 @@ def _refused(what: str, build, *args):
         return build(*args)
     except CorruptDocument:
         raise
-    except (KeyError, TypeError, ValueError, FoodnError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, FoodnError) as exc:
         raise CorruptDocument(f"{what}: {exc}") from exc
 
 
@@ -399,10 +400,12 @@ def _stdlib_json(doc) -> str:
 encode_json = _stdlib_json if sys.version_info >= (3, 13) else _emit_json
 
 
+@collector_paused
 def dumps(net: Network) -> str:
     return encode_json(to_document(net)) + "\n"
 
 
+@collector_paused
 def loads(text: str, tol: float = DEFAULT_TOL) -> Network:
     try:
         doc = json.loads(text)

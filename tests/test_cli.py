@@ -353,6 +353,46 @@ class TestExitCodes:
             assert "property id must be a string" in err and "Traceback" not in err
         assert not saved.exists()
 
+    def test_non_finite_literal_is_2(self, tmp_path):
+        # 1e999 overflows to inf: refused at the literal, never saved as Infinity
+        path = tmp_path / "inf.foodn"
+        path.write_text('object O { p1 "P" = 1; }\nmodifier M object O -> O2 { p1: 1e999 -> 2; }\n')
+        saved = tmp_path / "saved.json"
+        for command in (["check"], ["save", "--out", str(saved)], ["apply-modifier", "M", "O"]):
+            code, out, err = run_cli(*command, "--in", str(path))
+            assert (code, out) == (2, "")
+            assert err.startswith(f"{path}:2:33: error: number out of range") and "Traceback" not in err
+        assert not saved.exists()
+
+    def test_non_finite_document_value_is_2(self, tmp_path):
+        doc = to_document(load_file(POLYGONS)[0])
+        [rb1] = [o for o in doc["objects"] if o["name"] == "Rb1"]
+        [p1] = [p for p in rb1["properties"] if p["id"] == "p1"]
+        p1["value"]["value"] = float("inf")
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli("eval", "--in", str(path), "Rb1", "f1")
+        assert (code, out) == (2, "")
+        assert err == "error: bad network document: a number must be finite, got inf\n"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("name", 5, "modifier name must be a string, got 5"),
+        ("target_name", "", "modifier 'M1_Sq1': target_name must be non-empty"),
+    ])
+    def test_bad_modifier_document_is_2(self, tmp_path, key, value, message):
+        # refused at load, before save can crash in a sort or apply-modifier in a rename
+        doc = to_document(load_file(POLYGONS)[0])
+        [m1] = [m for m in doc["modifiers"] if m["name"] == "M1_Sq1"]
+        m1[key] = value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        saved = tmp_path / "saved.json"
+        for command in (["save", "--out", str(saved)], ["apply-modifier", "M1_Sq1", "Sq1"]):
+            code, out, err = run_cli(*command, "--in", str(path))
+            assert (code, out) == (2, "")
+            assert err == f"error: bad network document: {message}\n"
+        assert not saved.exists()
+
     def test_version_mismatch_is_2(self, tmp_path):
         path = tmp_path / "future.json"
         path.write_text('{"foodn_version": 99}')

@@ -186,6 +186,30 @@ class TestDiagnostics:
         diags = errors_of('class T { property p1 "P" = 4 @ ; }')
         assert "unexpected character" in diags[0].message
 
+    def test_non_finite_literal_is_one_diagnostic(self):
+        # 1e999 overflows to inf; it is refused where it stands
+        assert [(d.message, d.line, d.col) for d in errors_of('object O { p1 "P" = 1e999; }')] == [
+            ("number out of range: the literal overflows to inf", 1, 21)
+        ]
+
+    @pytest.mark.parametrize("text, col", [
+        ('class T { property p1 "P" = (1, -1e999); }', 33),
+        ('class T { property p1 "P" = [2e400] * 3; }', 30),
+        ('class T { property p1 "P" = [2] * 1e999; }', 35),
+        ('class T { property p1 "P" = {1e999/1}; }', 30),
+        ('class T { property p1 "P" = interval(0, 1e999); }', 41),
+        ('class T { property p1 "P" = fuzzy(1e999); }', 35),
+        ('object O { p1 "P" = 1; }\nmodifier M object O -> O2 { p1: 1 -> 1e999; }', 38),
+        ('class A { property p "P" = 1; }\nrelation A is-a A degree 1e999;', 26),
+    ], ids=["tuple", "repeat", "repeat count", "fuzzy support", "interval", "truth", "change",
+            "relation degree"])
+    def test_non_finite_literal_is_reported_at_the_literal(self, text, col):
+        diags = errors_of(text)
+        line = text.count("\n") + 1
+        assert (diags[0].line, diags[0].col) == (line, col)
+        assert [d.message for d in diags].count(diags[0].message) == 1
+        assert diags[0].message.startswith("number out of range: the literal overflows to ")
+
     def test_unknown_statement(self):
         diags = errors_of("network X;")
         assert "expected class, object, relation or modifier" in diags[0].message

@@ -168,6 +168,7 @@ class TestText:
         assert format_number(2.0) == "2"
         assert format_number(0.95) == "0.95"
         assert format_number(-3.0) == "-3"
+        assert [format_number(x) for x in (math.inf, -math.inf, math.nan)] == ["inf", "-inf", "nan"]
 
 
 def test_merge_pairs_groups_by_run_representative():

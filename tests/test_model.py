@@ -1,17 +1,21 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
+import math
 import pickle
 import sys
 from dataclasses import replace
 
 import pytest
 
+from foodn import exploiters, expr, fuzzy, model, modifiers, network
 from foodn.errors import (
     AbstractValueOnObject,
     DuplicateId,
     EmptyClass,
     ExtensionMissing,
+    EvaluationError,
     SemanticMismatch,
 )
 from foodn.fuzzy import make_fuzzy_set
@@ -41,8 +45,10 @@ from foodn.model import (
     property_equivalent,
     value_equivalent,
 )
+from foodn.modifiers import Change, Modifier
 
 FS = make_fuzzy_set([(1.8, 0.9), (2.0, 1.0), (2.1, 0.95)], unit="cm")
+CHANGE = Change("p1", CrispNumber(1.0), CrispNumber(2.0))
 
 
 def prop(pid, semantic, value):
@@ -59,6 +65,19 @@ class TestValues:
             TruthDegree(1.5)
         with pytest.raises(ValueError):
             FuzzyTuple(())
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_numbers_are_refused(self, x):
+        for make in (
+            lambda: CrispNumber(x, "cm"),
+            lambda: CrispTuple((1.0, x)),
+            lambda: Interval(x, 1.0),
+            lambda: Interval(0.0, x),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                make()
+        with pytest.raises(EvaluationError, match="not finite"):
+            make_fuzzy_set([(1.0, 0.5), (x, 1.0)])
 
     def test_interval_bounds(self):
         open_iv = Interval(0.0, 1.0)
@@ -133,10 +152,25 @@ class TestMethods:
         ("method result_unit", lambda x: MethodDef("f1", "Area", "a", (Binding("a", "p1"),), x)),
         ("binding var", lambda x: Binding(x, "p1")),
         ("binding prop", lambda x: Binding("a", x)),
+        ("modifier name", lambda x: Modifier(x, "object", "O", "O2", (CHANGE,))),
+        ("modifier source", lambda x: Modifier("M", "object", x, "O2", (CHANGE,))),
+        ("modifier target_name", lambda x: Modifier("M", "object", "O", x, (CHANGE,))),
+        ("modifier target_class", lambda x: Modifier("M", "object", "O", "O2", (CHANGE,), x)),
+        ("change prop", lambda x: Change(x, CrispNumber(1.0), CrispNumber(2.0))),
     ])
     def test_names_must_be_strings(self, field, make):
         with pytest.raises(ValueError, match=f"^{field} must be a string, got 7$"):
             make(7)
+
+    @pytest.mark.parametrize("make, empty", [
+        (lambda: Modifier("", "object", "O", "O2", (CHANGE,)), "name"),
+        (lambda: Modifier("M", "object", "", "O2", (CHANGE,)), "source"),
+        (lambda: Modifier("M", "object", "O", "", (CHANGE,), ""), "target_name, target_class"),
+        (lambda: Change("", CrispNumber(1.0), CrispNumber(2.0)), "change property id"),
+    ], ids=["modifier name", "modifier source", "modifier targets", "change prop"])
+    def test_modifier_names_must_be_non_empty(self, make, empty):
+        with pytest.raises(ValueError, match=f"{empty} must be non-empty"):
+            make()
 
     def test_compiled_body_takes_no_part_in_identity(self):
         def build():
@@ -173,6 +207,19 @@ class TestMethods:
         assert method_equivalent(a, b)
         c = MethodDef("f2", "Area", "a^2", (Binding("a", "p2", "component", 1),))
         assert not method_equivalent(a, c)
+
+
+@pytest.mark.parametrize("module", [model, fuzzy, network, expr, modifiers, exploiters],
+                         ids=lambda m: m.__name__)
+def test_records_carry_no_instance_dict(module):
+    # slots=True, and slotted bases, so that a network of records keeps no
+    # per-record __dict__
+    records = [
+        c for c in vars(module).values()
+        if isinstance(c, type) and c.__module__ == module.__name__ and dataclasses.is_dataclass(c)
+    ]
+    assert records
+    assert [c.__name__ for c in records if c.__dictoffset__] == []
 
 
 class TestCompatibility:

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import copy
 import json
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foodn import expr, serialize
+from foodn import eval_method, expr, serialize
 from foodn.dsl import parse_network
 from foodn.errors import CorruptDocument, SchemaVersionMismatch, UnknownEntity
 from foodn.fuzzy import make_fuzzy_set
@@ -225,6 +227,7 @@ class TestNetworkDocs:
 
     @pytest.mark.parametrize("field, value", [
         ("property id", 6), ("method id", 7), ("method result_unit", 5), ("binding prop", 2),
+        ("modifier name", 5), ("modifier target_class", 3), ("change prop", 4),
     ])
     def test_non_string_names_are_corrupt(self, polygons, field, value):
         # refused at load, before it can answer wrongly or crash later
@@ -232,15 +235,54 @@ class TestNetworkDocs:
         [rb1] = [o for o in doc["objects"] if o["name"] == "Rb1"]
         [p6] = [p for p in rb1["properties"] if p["id"] == "p6"]
         [f1] = [m for m in rb1["methods"] if m["id"] == "f1"]
+        [m1] = [m for m in doc["modifiers"] if m["name"] == "M1_Sq1"]
         owner, key = {
             "property id": (p6, "id"),
             "method id": (f1, "id"),
             "method result_unit": (f1, "result_unit"),
             "binding prop": (f1["bindings"][0], "prop"),
+            "modifier name": (m1, "name"),
+            "modifier target_class": (m1, "target_class"),
+            "change prop": (m1["changes"][0], "prop"),
         }[field]
         owner[key] = value
         with pytest.raises(CorruptDocument, match=f"{field} must be a string"):
             loads(json.dumps(doc))
+
+    def test_empty_modifier_target_is_corrupt(self, polygons):
+        doc = to_document(polygons)
+        [m1] = [m for m in doc["modifiers"] if m["name"] == "M1_Sq1"]
+        m1["target_name"] = ""
+        with pytest.raises(CorruptDocument, match="target_name must be non-empty"):
+            loads(json.dumps(doc))
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("where", [
+        "number", "tuple", "interval", "fuzzy support", "change", "provenance seq",
+    ])
+    def test_non_finite_numbers_are_corrupt(self, polygons, where, x):
+        polygons.apply_modifier("M1_Sq1", "Sq1")
+        doc = to_document(polygons)
+        [rb1] = [o for o in doc["objects"] if o["name"] == "Rb1"]
+        [t_rb] = [c for c in doc["classes"] if c["name"] == "T_Rb"]
+        values = {p["id"]: p["value"] for p in rb1["properties"]}
+        angles = next(p["value"] for p in t_rb["properties"] if p["value"]["kind"] == "interval")
+        [m1] = [m for m in doc["modifiers"] if m["name"] == "M1_Sq1"]
+        if where == "number":
+            values["p1"]["value"] = x
+        elif where == "tuple":
+            values["p4"]["values"][1] = x
+        elif where == "interval":
+            angles["hi"] = x
+        elif where == "fuzzy support":
+            values["p2"]["values"][0]["elements"][0][0] = x
+        elif where == "change":
+            m1["changes"][0]["after"]["values"][0] = x
+        else:
+            doc["provenance"][0]["seq"] = x
+        text = json.dumps(doc)  # writes Infinity, -Infinity or NaN
+        with pytest.raises(CorruptDocument, match="bad network document: .*(finite|convert float)"):
+            loads(text)
 
     def test_family_outside_sum_is_corrupt(self, polygons):
         doc = to_document(polygons)
@@ -379,6 +421,36 @@ class TestDumpsBytes:
         with pytest.raises(RuntimeError):
             save_file(polygons, str(path))
         assert path.read_bytes() == before
+
+
+class TestPickleAndCopy:
+    """The slotted records pickle under every protocol and deep-copy; the
+    copy of a network is the same network."""
+
+    def check(self, net):
+        text = dumps(net)
+        twins = [pickle.loads(pickle.dumps(net, protocol))
+                 for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in twins + [copy.deepcopy(net)]:
+            assert twin is not net
+            assert (twin.objects, twin.classes) == (net.objects, net.classes)
+            assert twin.relations == net.relations
+            assert twin.modifiers == net.modifiers
+            assert (twin.provenance, twin.history) == (net.provenance, net.history)
+            assert dumps(twin) == text
+
+    def test_fixtures(self, polygons, disjoint):
+        self.check(polygons)
+        self.check(disjoint)
+
+    def test_dynamic_network(self, polygons):
+        polygons.apply_modifier("M1_Sq1", "Sq1")
+        polygons.apply_exploiter("clone", ["Rb1"])
+        assert polygons.provenance[0].changes and polygons.history
+        self.check(polygons)
+        twin = pickle.loads(pickle.dumps(polygons))
+        for name in ("Rb1", "Rb1_2"):  # the copied methods are compiled again
+            assert eval_method(twin.entity(name), "f1") == eval_method(polygons.entity(name), "f1")
 
 
 class TestDot:
