@@ -226,9 +226,9 @@ class _Parser:
             self.error(f"expected {what}, got {value!r}", tok)
         return int(value)
 
-    def sync_item(self):
-        """Skip to just past the next ';' (or stop before '}' / eof)."""
-        depth = 0
+    def sync_item(self, depth: int = 0):
+        """Skip to just past the next ';' outside braces (or stop before
+        '}' / eof); *depth* counts the '{' the item has left open."""
         while True:
             tok = self.peek()
             if tok.kind == "eof":
@@ -259,7 +259,8 @@ class _Parser:
                     tok = self.tokens[start]
                     self.diags.append(ParseDiagnostic("error", str(exc), tok.line, tok.col))
                 if self.i == start or self.tokens[self.i - 1][:2] != ("punct", ";"):
-                    self.sync_item()
+                    braces = [t.value for t in self.tokens[start:self.i] if t.kind == "punct"]
+                    self.sync_item(braces.count("{") - braces.count("}"))
         self.expect("punct", "}")
 
     def sync_statement(self):

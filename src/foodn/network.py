@@ -31,6 +31,8 @@ from .model import (
     ClassSpec,
     FuzzyObject,
     HeterogeneousClass,
+    Property,
+    compat_degree,
     entity_kind,
     is_fuzzy_entity,
     membership_degree,
@@ -92,6 +94,18 @@ class ProvenanceRecord:
     sources: tuple[str, ...]
     target: str
     changes: tuple = ()
+
+
+def _term_degree(own: dict[str, Property], class_prop: Property, tol: float) -> float:
+    """One term of membership_degree for an object whose properties are
+    *own*, by id; a SemanticMismatch scores 0."""
+    obj_prop = own.get(class_prop.id)
+    if obj_prop is None:
+        return 1.0 if isinstance(class_prop.value, Absent) else 0.0
+    try:
+        return compat_degree(obj_prop, class_prop, tol)
+    except SemanticMismatch:
+        return 0.0
 
 
 class Network:
@@ -286,31 +300,55 @@ class Network:
         absent, scores 0, and 0 absorbs every t-norm; so an object meets
         such a class only when it carries all of the class's non-absent
         property ids.  Extensional and heterogeneous classes are always
-        scored.
+        scored, through membership_degree.
+
+        Intensional classes are scored here, under membership_degree's min
+        t-norm.  Each distinct class property is numbered once per call and
+        scored at most once per object, into that object's table.  Min is
+        order-free and 0 absorbs it, so a class stops at its first term
+        that scores 0 or raises SemanticMismatch: neither can be proposed.
         """
         threshold = check_degree(threshold, "threshold")
-        required = []  # (name, class, ids an object must carry to score > 0)
+        numbers: dict[Property, int] = {}  # each distinct intensional class property
+        required = []  # (name, class, ids an object must carry to score > 0, term numbers)
         for cname in sorted(self.classes):
             cls = self.classes[cname]
             if isinstance(cls, ClassSpec) and cls.mode == "intensional":
                 needs = frozenset(p.id for p in cls.specification if not isinstance(p.value, Absent))
+                terms = tuple(numbers.setdefault(p, len(numbers)) for p in cls.specification)
             else:
-                needs = frozenset()
-            required.append((cname, cls, needs))
+                needs, terms = frozenset(), None
+            required.append((cname, cls, needs, terms))
+        class_props = list(numbers)
         candidates: dict[frozenset[str], list] = {}  # object's ids -> classes to score
         proposals = []
         for oname in sorted(self.objects):
             obj = self.objects[oname]
-            ids = frozenset(p.id for p in obj.specification)
+            own = {p.id: p for p in obj.specification}
+            ids = frozenset(own)
             if ids not in candidates:
-                candidates[ids] = [(cname, cls) for cname, cls, needs in required if needs <= ids]
-            for cname, cls in candidates[ids]:
+                candidates[ids] = [
+                    (cname, cls, terms) for cname, cls, needs, terms in required if needs <= ids
+                ]
+            table = [None] * len(class_props)  # term number -> degree; a mismatch reads 0
+            for cname, cls, terms in candidates[ids]:
                 if (oname, cname, "instance-of") in self._by_key:
                     continue
-                try:
-                    degree = membership_degree(obj, cls, "min", self.tol)
-                except SemanticMismatch:
-                    continue
+                if terms is None:
+                    try:
+                        degree = membership_degree(obj, cls, "min", self.tol)
+                    except SemanticMismatch:
+                        continue
+                else:
+                    degree = 1.0
+                    for t in terms:
+                        d = table[t]
+                        if d is None:
+                            d = table[t] = _term_degree(own, class_props[t], self.tol)
+                        if d < degree:
+                            degree = d
+                            if degree == 0.0:
+                                break
                 if degree > 0.0 and degree >= threshold:
                     proposals.append(Relation(oname, cname, "instance-of", degree))
         return proposals

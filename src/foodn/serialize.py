@@ -28,6 +28,7 @@ from .model import (
     MethodDef,
     Property,
     TruthDegree,
+    _check_strings,
 )
 from .modifiers import Change, Modifier
 from .network import Network, ProvenanceRecord, Relation
@@ -290,16 +291,24 @@ def _network_from(doc, tol: float) -> Network:
             )
         )
     for pdoc in doc["provenance"]:
-        net.provenance.append(
-            ProvenanceRecord(
-                int(pdoc["seq"]),
-                pdoc["op"],
-                tuple(pdoc["sources"]),
-                pdoc["target"],
-                tuple(_change_from(c) for c in pdoc["changes"]),
-            )
-        )
+        net.provenance.append(_provenance_from(pdoc))
     return net
+
+
+def _provenance_from(doc) -> ProvenanceRecord:
+    # checked here, not in ProvenanceRecord, which the network builds from
+    # names it already holds on every exploiter and modifier it applies
+    seq, op, sources, target = doc["seq"], doc["op"], doc["sources"], doc["target"]
+    if isinstance(seq, bool) or not isinstance(seq, int):
+        raise ValueError(f"provenance seq must be a finite integer, got {seq!r}")
+    if not isinstance(sources, list):  # tuple() would split a string into names
+        raise ValueError(f"provenance sources must be a list, got {sources!r}")
+    _check_strings("provenance", op=op, target=target)
+    for source in sources:
+        _check_strings("provenance", source=source)
+    return ProvenanceRecord(
+        seq, op, tuple(sources), target, tuple(_change_from(c) for c in doc["changes"])
+    )
 
 
 # -- JSON text ----------------------------------------------------------------

@@ -277,12 +277,15 @@ class TestExitCodes:
         code, _, err = run_cli("load", "--in", str(path))
         assert code == 2 and "not valid JSON" in err
 
-    @pytest.mark.parametrize("corrupt", ["unknown endpoint", "empty interval"])
+    @pytest.mark.parametrize("corrupt", ["unknown endpoint", "empty interval", "provenance op"])
     def test_invalid_document_is_2(self, tmp_path, corrupt):
         doc = to_document(load_file(POLYGONS)[0])
         if corrupt == "unknown endpoint":
             doc["relations"].append(
                 {"source": "Nope", "target": "T_Rb", "kind": "instance-of", "degree": 1.0})
+        elif corrupt == "provenance op":
+            doc["provenance"].append(
+                {"seq": 1, "op": 5, "sources": ["Sq1"], "target": "Rb1_2", "changes": []})
         else:
             [t_rb] = [c for c in doc["classes"] if c["name"] == "T_Rb"]
             [angles] = [p for p in t_rb["properties"] if p["id"] == "p4"]
@@ -291,7 +294,7 @@ class TestExitCodes:
         path.write_text(json.dumps(doc))
         code, out, err = run_cli("load", "--in", str(path))
         assert (code, out) == (2, "")
-        assert err.startswith("error: bad network document:")
+        assert err.startswith("error: bad network document:") and err.count("\n") == 1
         assert "Traceback" not in err
 
     def test_too_deep_document_is_2(self, tmp_path):

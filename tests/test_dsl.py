@@ -210,6 +210,20 @@ class TestDiagnostics:
         assert [d.message for d in diags].count(diags[0].message) == 1
         assert diags[0].message.startswith("number out of range: the literal overflows to ")
 
+    @pytest.mark.parametrize("support, message", [
+        ("x", "expected a support, got 'x'"),
+        ("1e999", "number out of range: the literal overflows to inf"),
+    ])
+    def test_error_inside_a_fuzzy_literal_is_one_diagnostic(self, support, message):
+        # the member resumes past the literal's '}' and its own ';', so the
+        # members after it, and the next statement, still parse
+        text = (f'object O {{ p1 "P" = 1; p3 "R" = {{{support}/1}}; p4 "S" = ; }}\n'
+                'object P { q = ; }')
+        assert [(d.message, d.line, d.col) for d in errors_of(text)] == [
+            (message, 1, 34), ("expected a value, got ';'", 1, 48 + len(support)),
+            ("expected a value, got ';'", 2, 16),
+        ]
+
     def test_unknown_statement(self):
         diags = errors_of("network X;")
         assert "expected class, object, relation or modifier" in diags[0].message

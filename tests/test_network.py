@@ -11,6 +11,7 @@ from foodn.errors import (
     NameCollision,
     NotApplicable,
     ReflectionWarning,
+    SemanticMismatch,
     UnknownEndpoint,
     UnknownEntity,
     UnknownExploiter,
@@ -21,6 +22,7 @@ from foodn.model import (
     CrispNumber,
     Property,
     TruthDegree,
+    compat_degree,
     define_class,
     define_object,
     membership_degree,
@@ -208,19 +210,54 @@ class TestQueries:
 
         net = small_network()
         extra = Property("p9", "Extra", CrispNumber(3.0))
-        net.add(define_class("C3", [Property("p1", "Kind", CrispNumber(1.0)), extra]))
+        net.add(define_class("C3", [Property("p1", "Kind", CrispNumber(2.0)), extra]))
         net.add(define_class("E", [extra], mode="extensional", extension=["O1"]))
-        scored = []
+        # C4 declares C1's property again, beside one the objects lack
+        net.add(define_class("C4", [Property("p1", "Kind", CrispNumber(1.0)),
+                                    Property("p2", "Other", Absent())]))
+        compared, scored = [], []
+
+        def comparing(obj_prop, class_prop, *args):
+            compared.append((obj_prop, class_prop))
+            return compat_degree(obj_prop, class_prop, *args)
 
         def counting(obj, cls, *args):
             scored.append((obj.name, cls.name))
             return membership_degree(obj, cls, *args)
 
+        monkeypatch.setattr(network, "compat_degree", comparing)
         monkeypatch.setattr(network, "membership_degree", counting)
         proposals = net.infer_relations()
         assert [(r.source, r.target, r.degree) for r in proposals] == oracle_infer(net)
-        # no object carries p9, so C3 is never scored; the extensional E is
-        assert scored == [(o, c) for o in ("O1", "O2") for c in ("C1", "C2", "E")]
+        # no object carries p9, so C3's p1 is never compared; C4's p1 is
+        # C1's, compared once per object; only the extensional E is scored whole
+        assert compared == [
+            (net.objects[o].get_property("p1"), net.classes[c].get_property("p1"))
+            for o in ("O1", "O2") for c in ("C1", "C2")
+        ]
+        assert scored == [("O1", "E"), ("O2", "E")]
+
+    def test_infer_stops_a_class_at_its_first_zero(self, monkeypatch):
+        import foodn.network as network
+
+        net = Network()
+        net.add(define_object("O", [Property("p1", "Kind", CrispNumber(2.0)),
+                                    Property("p2", "Size", CrispNumber(1.0))]))
+        # p1 scores 0; p2 names another semantic, which membership_degree
+        # refuses with SemanticMismatch
+        net.add(define_class("C", [Property("p1", "Kind", CrispNumber(1.0)),
+                                   Property("p2", "Colour", CrispNumber(1.0))]))
+        with pytest.raises(SemanticMismatch):
+            membership_degree(net.objects["O"], net.classes["C"])
+        compared = []
+
+        def comparing(obj_prop, class_prop, *args):
+            compared.append(class_prop.id)
+            return compat_degree(obj_prop, class_prop, *args)
+
+        monkeypatch.setattr(network, "compat_degree", comparing)
+        assert net.infer_relations() == [] and oracle_infer(net) == []
+        assert compared == ["p1"]
 
 
 class TestExploiterApplication:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +30,7 @@ from foodn.model import (
     MethodDef,
     Property,
     TruthDegree,
+    compat_degree,
     define_class,
     define_object,
 )
@@ -328,19 +330,27 @@ def some_properties(draw, values):
 
 @st.composite
 def infer_network(draw):
+    """Objects and classes over PROP_POOL.  Classes draw their properties
+    from one shared pool, so several hold equal properties, and one id
+    may come with another semantic or value in another class."""
     net = Network()
     object_names = [f"O{i}" for i in range(draw(st.integers(1, 5)))]
     for name in object_names:
         net.add(define_object(name, draw(some_properties(infer_object_values))))
+    shared = [
+        Property(pid, draw(st.sampled_from([semantic] * 5 + ["Other"])), draw(infer_class_values))
+        for pid, semantic in PROP_POOL for _ in range(draw(st.integers(1, 3)))
+    ]
 
     def plain_class(name):
-        props = draw(some_properties(infer_class_values))
+        props = draw(st.lists(st.sampled_from(shared), max_size=len(PROP_POOL),
+                              unique_by=lambda p: p.id))
         if draw(st.integers(0, 3)) == 0:
             members = draw(st.lists(st.sampled_from(object_names), min_size=1, unique=True))
             return define_class(name, props, mode="extensional", extension=members)
         return define_class(name, props, [] if props else [METHOD])
 
-    class_names = [f"C{i}" for i in range(draw(st.integers(1, 5)))]
+    class_names = [f"C{i}" for i in range(draw(st.integers(1, 8)))]
     for name in class_names:
         if draw(st.integers(0, 3)) == 0:
             net.add(HeterogeneousClass(name, tuple(
@@ -365,3 +375,19 @@ def test_infer_relations_matches_scoring_every_pair(net, threshold):
     assert [(r.source, r.target, r.degree) for r in proposals] == oracle_infer(net, threshold)
     assert [(r.source, r.target, r.kind, r.degree) for r in net.relations] == before
 
+
+@MANY
+@given(net=infer_network())
+def test_infer_scores_each_class_property_once_per_object(net):
+    import foodn.network as network
+
+    compared = []
+
+    def comparing(obj_prop, class_prop, *args):
+        compared.append((id(obj_prop), class_prop))  # each object holds its own properties
+        return compat_degree(obj_prop, class_prop, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network, "compat_degree", comparing)
+        net.infer_relations()
+    assert len(compared) == len(set(compared))

@@ -256,6 +256,25 @@ class TestNetworkDocs:
         with pytest.raises(CorruptDocument, match="target_name must be non-empty"):
             loads(json.dumps(doc))
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("op", 5, "provenance op must be a string"),
+        ("target", ["x"], "provenance target must be a string"),
+        ("sources", [1, None], "provenance source must be a string"),
+        ("sources", ["Sq1", None], "provenance source must be a string"),
+        ("sources", "Sq1", "provenance sources must be a list"),
+        ("seq", True, "provenance seq must be a finite integer"),
+        ("seq", 1.0, "provenance seq must be a finite integer"),
+        ("seq", "1", "provenance seq must be a finite integer"),
+    ])
+    def test_malformed_provenance_is_corrupt(self, polygons, key, value, message):
+        polygons.apply_modifier("M1_Sq1", "Sq1")
+        text = dumps(polygons)
+        assert dumps(loads(text)) == text  # the well-formed record round-trips
+        doc = json.loads(text)
+        doc["provenance"][0][key] = value
+        with pytest.raises(CorruptDocument, match=f"bad network document: {message}"):
+            loads(json.dumps(doc))
+
     @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("where", [
         "number", "tuple", "interval", "fuzzy support", "change", "provenance seq",
