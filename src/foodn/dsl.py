@@ -25,9 +25,15 @@ A network file is a sequence of statements:
 Values: numbers with optional units, tuples, `interval(0, 180)` (square
 bracket for a closed bound), fuzzy set literals `{1.8/0.9 + 2/1} cm`, truth
 degrees `fuzzy(0.8)`, the class-side markers `fuzzy` and `absent`, and the
-repeat form `[<value>] * n` for uniform tuples.  `//` starts a comment.
-A string ends on its line.  Objects inherit semantics and methods from
-their declared class.
+repeat form `[<value>] * n` for uniform tuples.  Objects inherit semantics
+and methods from their declared class.
+
+Tokens: an identifier is a letter or `_`, then letters, digits and `_`, and
+a hyphen before a letter (`instance-of`); a numeral that is not a letter
+(`²`, `½`) may go on one but not start it or follow its hyphen.  A number
+takes its minus sign (`1-2` is 1 and -2).  In a "string", a backslash keeps
+the next character, and the string ends on its line.  `//` comments to the
+end of the line, and `->` is one token.  Only a line feed starts a line.
 
 Statements may come in any order.  Each parsed statement queues the step
 that builds it; the steps run classes first, then objects, relations and
@@ -91,86 +97,68 @@ class _Bail(Exception):
     """Internal: abandon the current statement after recording an error."""
 
 
-_NUM_RE = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
-_PUNCT = set("{}()[],;:=/+*^")
 _STATEMENTS = ("class", "object", "relation", "modifier")  # parsed by _Parser.<keyword>_def
+
+# One token per match, with the blanks before it.  Comments go before
+# punctuation ("//" is not two slashes), and a line break is its own group so
+# that only "\n" starts a line.  Whatever no other group takes is bad: a lone
+# '"' opens a string that does not end on its line.
+_TOKEN = re.compile(r"""[^\S\n]*(?:
+    (?P<newline>\n)
+  | (?P<comment>//[^\n]*)
+  | (?P<ident>[^\W\d]\w*(?:-[^\W\d_]\w*)*)
+  | (?P<punct>->|[{}()\[\],;:=/+*^])
+  | (?P<number>-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)
+  | (?P<string>"[^"\\\n]*(?:\\.[^"\\\n]*)*")
+  | (?P<bad>\S)
+)""", re.VERBOSE)
+_ESCAPE = re.compile(r"\\(.)")
+
+
+def _numeral_cut(word: str):
+    """The ident group also admits numerals that str.isalpha refuses, such as
+    '²' and '½'.  One may not start an identifier or follow its hyphen: return
+    0 if *word* starts with one, the offset of the hyphen before one, else None."""
+    if not (word[0].isalpha() or word[0] == "_"):
+        return 0
+    hyphen = word.find("-")
+    while hyphen > 0:
+        if not word[hyphen + 1].isalpha():
+            return hyphen
+        hyphen = word.find("-", hyphen + 1)
+    return None
 
 
 def _tokenize(text: str):
-    tokens: list[Token] = []
-    diags: list[ParseDiagnostic] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+    tokens, diags = [], []
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
             line += 1
-            col = 1
+            line_start = m.end()
             continue
-        if c.isspace():
-            i += 1
-            col += 1
+        value = m[kind]
+        col = m.start(kind) - line_start + 1
+        if kind == "number":
+            value = float(value)
+        elif kind == "ident" and not value.isascii():  # such numerals are not ASCII
+            cut = _numeral_cut(value)
+            if cut:
+                tokens.append(Token(kind, value[:cut], line, col))
+            if cut is not None:
+                kind, value, col = "bad", value[cut], col + cut
+        elif kind == "string":
+            value = _ESCAPE.sub(r"\1", value[1:-1]) if "\\" in value else value[1:-1]
+        elif kind == "comment":
             continue
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            j = n if j < 0 else j
-            col += j - i
-            i = j
-            continue
-        if c == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] not in '"\n':  # a line break ends a string, escaped or not
-                if text[j] == "\\" and j + 1 < n and text[j + 1] != "\n":
-                    out.append(text[j + 1])
-                    j += 2
-                else:
-                    out.append(text[j])
-                    j += 1
-            if j >= n or text[j] != '"':
-                diags.append(ParseDiagnostic("error", "unterminated string", line, col))
-                tokens.append(Token("eof", None, line, col))
-                return tokens, diags
-            tokens.append(Token("string", "".join(out), line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c == "-" and i + 1 < n and text[i + 1] == ">":
-            tokens.append(Token("punct", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if c.isdigit() or (c in "-." and i + 1 < n and (text[i + 1].isdigit() or text[i + 1] == ".")):
-            m = _NUM_RE.match(text, i)
-            if m:
-                tokens.append(Token("number", float(m.group()), line, col))
-                col += m.end() - i
-                i = m.end()
-                continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n:
-                ch = text[j]
-                if ch.isalnum() or ch == "_":
-                    j += 1
-                elif ch == "-" and j + 1 < n and text[j + 1].isalpha():
-                    j += 1
-                else:
-                    break
-            tokens.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c in _PUNCT:
-            tokens.append(Token("punct", c, line, col))
-            i += 1
-            col += 1
-            continue
-        diags.append(ParseDiagnostic("error", f"unexpected character {c!r}", line, col))
-        tokens.append(Token("eof", None, line, col))
-        return tokens, diags
-    tokens.append(Token("eof", None, line, col))
+        if kind == "bad":
+            message = "unterminated string" if value == '"' else f"unexpected character {value!r}"
+            diags.append(ParseDiagnostic("error", message, line, col))
+            tokens.append(Token("eof", None, line, col))
+            return tokens, diags
+        tokens.append(Token(kind, value, line, col))
+    tokens.append(Token("eof", None, line, len(text) - line_start + 1))
     return tokens, diags
 
 
@@ -195,6 +183,14 @@ class _Parser:
     def at(self, kind: str, value=None) -> bool:
         tok = self.peek()
         return tok.kind == kind and (value is None or tok.value == value)
+
+    def accept(self, kind: str, value=None) -> bool:
+        """Take the next token if it matches, and say whether it did."""
+        tok = self.tokens[self.i]
+        if tok.kind == kind and (value is None or tok.value == value):
+            self.take()
+            return True
+        return False
 
     def error(self, message: str, tok: Token | None = None):
         tok = tok or self.peek()
@@ -288,10 +284,8 @@ class _Parser:
     def opt_unit(self) -> str | None:
         if self.at("ident"):
             unit = self.take().value
-            if self.at("punct", "^"):
-                self.take()
-                power = self.integer("a unit power")
-                unit = f"{unit}^{power}"
+            if self.accept("punct", "^"):
+                unit = f"{unit}^{self.integer('a unit power')}"
             return unit
         if self.at("string"):
             return self.take().value
@@ -306,10 +300,8 @@ class _Parser:
             self.expect("punct", "/")
             d = self.number("a degree")
             pairs.append((s, d))
-            if self.at("punct", "+"):
-                self.take()
-                continue
-            break
+            if not self.accept("punct", "+"):
+                break
         self.expect("punct", "}")
         return pairs
 
@@ -326,16 +318,13 @@ class _Parser:
             return self.repeat_value()
         if self.at("ident", "interval"):
             return self.interval_value()
-        if self.at("ident", "fuzzy"):
-            self.take()
-            if self.at("punct", "("):
-                self.take()
+        if self.accept("ident", "fuzzy"):
+            if self.accept("punct", "("):
                 degree = self.number("a truth degree")
                 self.expect("punct", ")")
                 return TruthDegree(degree)
             return FuzzyMarker()
-        if self.at("ident", "absent"):
-            self.take()
+        if self.accept("ident", "absent"):
             return Absent()
         self.error(f"expected a value, got {tok.value!r}", tok)
 
@@ -349,10 +338,8 @@ class _Parser:
                 elements.append(self.fuzzy_literal())
             else:
                 self.error("expected a number or fuzzy set inside the tuple")
-            if self.at("punct", ","):
-                self.take()
-                continue
-            break
+            if not self.accept("punct", ","):
+                break
         self.expect("punct", ")")
         unit = self.opt_unit()
         if len(elements) < 2:
@@ -383,23 +370,15 @@ class _Parser:
 
     def interval_value(self):
         self.take()  # "interval"
-        if self.at("punct", "("):
-            lo_open = True
-        elif self.at("punct", "["):
-            lo_open = False
-        else:
+        lo_open = self.accept("punct", "(")
+        if not (lo_open or self.accept("punct", "[")):
             self.error("expected ( or [ after interval")
-        self.take()
         lo = self.number("the lower bound")
         self.expect("punct", ",")
         hi = self.number("the upper bound")
-        if self.at("punct", ")"):
-            hi_open = True
-        elif self.at("punct", "]"):
-            hi_open = False
-        else:
+        hi_open = self.accept("punct", ")")
+        if not (hi_open or self.accept("punct", "]")):
             self.error("expected ) or ] to close the interval")
-        self.take()
         return Interval(lo, hi, self.opt_unit(), lo_open, hi_open)
 
     # -- members ----------------------------------------------------------
@@ -408,8 +387,7 @@ class _Parser:
         tok = self.expect("ident", "property")
         pid = self.ident("a property id")
         semantic = self.expect("string", what="the property semantic").value
-        if self.at("punct", ":"):
-            self.take()
+        if self.accept("punct", ":"):
             word = self.ident("fuzzy or absent")
             if word == "fuzzy":
                 value = FuzzyMarker()
@@ -430,19 +408,15 @@ class _Parser:
         self.expect("punct", "=")
         body = self.expect("string", what="the method body").value
         bindings = []
-        if self.at("ident", "bind"):
-            self.take()
+        if self.accept("ident", "bind"):
             while True:
                 var = self.ident("a variable name")
                 self.expect("punct", "=")
                 bindings.append(self.selector(var))
-                if self.at("punct", ","):
-                    self.take()
-                    continue
-                break
+                if not self.accept("punct", ","):
+                    break
         unit = None
-        if self.at("ident", "unit"):
-            self.take()
+        if self.accept("ident", "unit"):
             unit = self.opt_unit()
             if unit is None:
                 self.error("expected a unit name")
@@ -451,15 +425,12 @@ class _Parser:
 
     def selector(self, var: str) -> Binding:
         name = self.ident("a property id")
-        if name == "count" and self.at("punct", "("):
-            self.take()
+        if name == "count" and self.accept("punct", "("):
             pid = self.ident("a property id")
             self.expect("punct", ")")
             return Binding(var, pid, "count")
-        if self.at("punct", "["):
-            self.take()
-            if self.at("punct", "*"):
-                self.take()
+        if self.accept("punct", "["):
+            if self.accept("punct", "*"):
                 self.expect("punct", "]")
                 return Binding(var, name, "all")
             index = self.integer("a 1-based component index")
@@ -472,10 +443,7 @@ class _Parser:
     def class_def(self):
         tok = self.take()  # "class"
         name = self.ident("a class name")
-        mode = "intensional"
-        if self.at("ident", "extensional"):
-            self.take()
-            mode = "extensional"
+        mode = "extensional" if self.accept("ident", "extensional") else "intensional"
         properties, methods, extension = [], [], []
 
         def member():
@@ -483,14 +451,11 @@ class _Parser:
                 properties.append(self.property_decl())
             elif self.at("ident", "method"):
                 methods.append(self.method_decl())
-            elif self.at("ident", "extension"):
-                self.take()
+            elif self.accept("ident", "extension"):
                 while True:
                     extension.append(self.ident("a member name"))
-                    if self.at("punct", ","):
-                        self.take()
-                        continue
-                    break
+                    if not self.accept("punct", ","):
+                        break
                 self.expect("punct", ";")
             else:
                 self.error("expected property, method or extension")
@@ -501,10 +466,7 @@ class _Parser:
     def object_def(self):
         tok = self.take()  # "object"
         name = self.ident("an object name")
-        declared = None
-        if self.at("punct", ":"):
-            self.take()
-            declared = self.ident("a class name")
+        declared = self.ident("a class name") if self.accept("punct", ":") else None
         items, methods = [], []
 
         def member():
@@ -527,10 +489,7 @@ class _Parser:
         source = self.ident("the source entity")
         kind = self.ident("a relation kind")
         target = self.ident("the target entity")
-        degree = 1.0
-        if self.at("ident", "degree"):
-            self.take()
-            degree = self.number("a degree")
+        degree = self.number("a degree") if self.accept("ident", "degree") else 1.0
         self.expect("punct", ";")
         self.steps.append((_RELATION, tok, Network.add_relation, (source, target, kind, degree)))
 
@@ -543,10 +502,7 @@ class _Parser:
         source = self.ident("the source entity")
         self.expect("punct", "->")
         target = self.ident("the target name")
-        target_class = None
-        if self.at("ident", "target-class"):
-            self.take()
-            target_class = self.ident("a class name")
+        target_class = self.ident("a class name") if self.accept("ident", "target-class") else None
         changes = []
 
         def member():

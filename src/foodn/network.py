@@ -395,20 +395,17 @@ class Network:
         if kind == "union":
             result = _exp.union_op(entities, result_name)
             stored = result.induced_class if isinstance(result, _exp.ObjectSet) else result
-            self.classes[stored.name] = stored
         elif kind == "intersection":
             stored = _exp.intersection_op(entities, result_name, self.tol)
-            self.classes[stored.name] = stored
         elif kind == "difference":
             if len(entities) != 2:
                 raise ArityError(f"difference takes two entities, got {len(entities)}")
             stored = _exp.difference_op(entities[0], entities[1], result_name, self.tol)
-            self.classes[stored.name] = stored
         else:  # sym-difference
             if len(entities) != 2:
                 raise ArityError(f"sym-difference takes two entities, got {len(entities)}")
             stored = _exp.sym_difference_op(entities[0], entities[1], result_name, self.tol)
-            self.classes[stored.name] = stored
+        self.classes[stored.name] = stored
         self._record(kind, names, stored.name)
         return stored.name
 

@@ -193,7 +193,7 @@ def _entity_from(doc, methods: dict):
             tuple(_property_from(p) for p in doc["properties"]),
             tuple(_method_from(m, methods) for m in doc["methods"]),
             doc["mode"],
-            tuple(doc["extension"]),
+            _names_from(doc["extension"], "class", "extension", "member"),
         )
     if kind == "heterogeneous-class":
         projections = doc["projections"]
@@ -301,14 +301,21 @@ def _provenance_from(doc) -> ProvenanceRecord:
     seq, op, sources, target = doc["seq"], doc["op"], doc["sources"], doc["target"]
     if isinstance(seq, bool) or not isinstance(seq, int):
         raise ValueError(f"provenance seq must be a finite integer, got {seq!r}")
-    if not isinstance(sources, list):  # tuple() would split a string into names
-        raise ValueError(f"provenance sources must be a list, got {sources!r}")
+    sources = _names_from(sources, "provenance", "sources", "source")
     _check_strings("provenance", op=op, target=target)
-    for source in sources:
-        _check_strings("provenance", source=source)
     return ProvenanceRecord(
-        seq, op, tuple(sources), target, tuple(_change_from(c) for c in doc["changes"])
+        seq, op, sources, target, tuple(_change_from(c) for c in doc["changes"])
     )
+
+
+def _names_from(names, owner: str, field: str, item: str) -> tuple:
+    """A JSON list of names as a tuple.  Anything else is refused: tuple()
+    would split a string into letters and take a dict's keys."""
+    if not isinstance(names, list):
+        raise ValueError(f"{owner} {field} must be a list, got {names!r}")
+    for name in names:
+        _check_strings(owner, **{item: name})
+    return tuple(names)
 
 
 # -- JSON text ----------------------------------------------------------------

@@ -5,10 +5,13 @@ of (support, degree) pairs, enumeration is explicit recursion, grouping
 goes through a dict keyed by exact value followed by a tolerance merge.
 The one exception is oracle_infer, which checks which pairs the network
 scores, not how it scores them, and so takes membership_degree as given.
+oracle_tokenize is the .foodn tokenizer written as a loop over single
+characters, against which the pattern-driven one in foodn.dsl is checked.
 """
 from __future__ import annotations
 
 import math
+import re
 
 
 def oracle_extend(f, args, tol=1e-9):
@@ -160,3 +163,90 @@ def oracle_infer(net, threshold=0.0):
             if degree > 0.0 and degree >= threshold:
                 proposals.append((oname, cname, degree))
     return proposals
+
+
+_ORACLE_NUM = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def oracle_tokenize(text):
+    """The .foodn tokenizer as a loop over single characters.
+
+    Returns (tokens, diagnostics) as plain tuples, (kind, value, line, col)
+    and (severity, message, line, col).  Only "\n" starts a line; other
+    blanks count one column each.  A bad character or a string that does not
+    end on its line is one diagnostic, and the stream ends there with eof.
+    """
+    tokens, diags = [], []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c.isspace():
+            i += 1
+            col += 1
+            continue
+        if text.startswith("//", i):
+            j = text.find("\n", i)
+            j = n if j < 0 else j
+            col += j - i
+            i = j
+            continue
+        if c == '"':
+            j = i + 1
+            out = []
+            while j < n and text[j] not in '"\n':  # a line break ends a string, escaped or not
+                if text[j] == "\\" and j + 1 < n and text[j + 1] != "\n":
+                    out.append(text[j + 1])
+                    j += 2
+                else:
+                    out.append(text[j])
+                    j += 1
+            if j >= n or text[j] != '"':
+                diags.append(("error", "unterminated string", line, col))
+                tokens.append(("eof", None, line, col))
+                return tokens, diags
+            tokens.append(("string", "".join(out), line, col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        if c == "-" and i + 1 < n and text[i + 1] == ">":
+            tokens.append(("punct", "->", line, col))
+            i += 2
+            col += 2
+            continue
+        if c.isdigit() or (c in "-." and i + 1 < n and (text[i + 1].isdigit() or text[i + 1] == ".")):
+            m = _ORACLE_NUM.match(text, i)
+            if m:
+                tokens.append(("number", float(m.group()), line, col))
+                col += m.end() - i
+                i = m.end()
+                continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n:
+                ch = text[j]
+                if ch.isalnum() or ch == "_":
+                    j += 1
+                elif ch == "-" and j + 1 < n and text[j + 1].isalpha():
+                    j += 1
+                else:
+                    break
+            tokens.append(("ident", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c in "{}()[],;:=/+*^":
+            tokens.append(("punct", c, line, col))
+            i += 1
+            col += 1
+            continue
+        diags.append(("error", f"unexpected character {c!r}", line, col))
+        tokens.append(("eof", None, line, col))
+        return tokens, diags
+    tokens.append(("eof", None, line, col))
+    return tokens, diags

@@ -277,7 +277,9 @@ class TestExitCodes:
         code, _, err = run_cli("load", "--in", str(path))
         assert code == 2 and "not valid JSON" in err
 
-    @pytest.mark.parametrize("corrupt", ["unknown endpoint", "empty interval", "provenance op"])
+    @pytest.mark.parametrize("corrupt", [
+        "unknown endpoint", "empty interval", "provenance op", "extension member",
+    ])
     def test_invalid_document_is_2(self, tmp_path, corrupt):
         doc = to_document(load_file(POLYGONS)[0])
         if corrupt == "unknown endpoint":
@@ -286,6 +288,9 @@ class TestExitCodes:
         elif corrupt == "provenance op":
             doc["provenance"].append(
                 {"seq": 1, "op": 5, "sources": ["Sq1"], "target": "Rb1_2", "changes": []})
+        elif corrupt == "extension member":  # once loaded, and save then died in sorted()
+            doc["classes"].append({"kind": "class", "name": "U", "mode": "extensional",
+                                   "extension": [5, "Rb1"], "properties": [], "methods": []})
         else:
             [t_rb] = [c for c in doc["classes"] if c["name"] == "T_Rb"]
             [angles] = [p for p in t_rb["properties"] if p["id"] == "p4"]

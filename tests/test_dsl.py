@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import random
 import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import POLYGONS
+from conftest import DISJOINT, POLYGONS
 from foodn.dsl import _tokenize, parse_network
 from foodn.errors import DslError
 from foodn.model import (
@@ -19,6 +22,7 @@ from foodn.model import (
     TruthDegree,
 )
 from foodn.serialize import dumps
+from oracles import oracle_tokenize
 
 
 def parse_one_value(text):
@@ -326,6 +330,26 @@ class TestStatementOrder:
             assert dumps(net) == expected
 
 
+FIXTURE_TEXTS = [Path(path).read_text(encoding="utf-8") for path in (POLYGONS, DISJOINT)]
+# pieces that sit on the lexical rules' edges: quotes and escapes, line
+# breaks, comments, arrows, hyphens (one before a numeral that is not a
+# letter), letters outside ASCII, a decimal digit outside ASCII, and
+# numerals that are not letters
+EDIT_PIECES = ['"', "\\", "\n", "\r", "//", "->", "-.", "-", "-²", "é", "ǅ", "٣", "²", "½", " "]
+
+
+@st.composite
+def edited_fixtures(draw):
+    """A bundled fixture after 1-4 edits; each replaces 0-3 characters with
+    0-3 pieces, so it inserts, deletes or replaces."""
+    text = draw(st.sampled_from(FIXTURE_TEXTS))
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 3)))
+        text = text[:start] + "".join(draw(st.lists(st.sampled_from(EDIT_PIECES), max_size=3))) + text[end:]
+    return text
+
+
 class TestTokenizer:
     def test_token_stream(self):
         text = (
@@ -351,6 +375,33 @@ class TestTokenizer:
             ("punct", ";", 2, 31),
             ("eof", None, 3, 1),
         ]
+
+    @pytest.mark.parametrize("text, tokens, diags", [
+        ("x² a", [("ident", "x²", 1, 1), ("ident", "a", 1, 4), ("eof", None, 1, 5)], []),
+        ("²x", [("eof", None, 1, 1)], [("error", "unexpected character '²'", 1, 1)]),
+        ("a-²", [("ident", "a", 1, 1), ("eof", None, 1, 2)], [("error", "unexpected character '-'", 1, 2)]),
+        ("a--b", [("ident", "a", 1, 1), ("eof", None, 1, 2)], [("error", "unexpected character '-'", 1, 2)]),
+        ("-.x", [("eof", None, 1, 1)], [("error", "unexpected character '-'", 1, 1)]),
+        ("1-2", [("number", 1.0, 1, 1), ("number", -2.0, 1, 2), ("eof", None, 1, 4)], []),
+        ("x-1e5", [("ident", "x", 1, 1), ("number", -100000.0, 1, 2), ("eof", None, 1, 6)], []),
+        ("a-b-c", [("ident", "a-b-c", 1, 1), ("eof", None, 1, 6)], []),
+        ("é_1", [("ident", "é_1", 1, 1), ("eof", None, 1, 4)], []),
+        ("٣", [("number", 3.0, 1, 1), ("eof", None, 1, 2)], []),
+    ])
+    def test_edge_streams(self, text, tokens, diags):
+        # a numeral that is not a letter ('²') may continue an identifier but
+        # not start one or follow its hyphen; a decimal digit in any script is a digit
+        got, got_diags = _tokenize(text)
+        assert [tuple(t) for t in got] == tokens
+        assert [(d.severity, d.message, d.line, d.col) for d in got_diags] == diags
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=edited_fixtures())
+    def test_matches_the_character_loop(self, text):
+        tokens, diags = _tokenize(text)
+        expected_tokens, expected_diags = oracle_tokenize(text)
+        assert [tuple(t) for t in tokens] == expected_tokens
+        assert [(d.severity, d.message, d.line, d.col) for d in diags] == expected_diags
 
     @pytest.mark.parametrize("text, message, position", [
         ('class T {\n  property p1 "oops = 4; }', "unterminated string", (2, 15)),

@@ -275,6 +275,21 @@ class TestNetworkDocs:
         with pytest.raises(CorruptDocument, match=f"bad network document: {message}"):
             loads(json.dumps(doc))
 
+    @pytest.mark.parametrize("extension, message", [
+        ("Rb1", "class extension must be a list"),  # tuple() would read ('R', 'b', '1')
+        ({"Rb1": 1}, "class extension must be a list"),  # tuple() would read its keys
+        ([5, "Rb1"], "class member must be a string"),  # a later save would fail to sort it
+    ], ids=["string", "object", "number member"])
+    def test_malformed_extension_is_corrupt(self, polygons, extension, message):
+        polygons.apply_exploiter("union", ["Rb1", "Sq1"])
+        text = dumps(polygons)
+        assert loads(text).classes["union_Rb1_Sq1"].extension == ("Rb1", "Sq1")
+        doc = json.loads(text)
+        [union] = [c for c in doc["classes"] if c["name"] == "union_Rb1_Sq1"]
+        union["extension"] = extension
+        with pytest.raises(CorruptDocument, match=f"bad network document: {message}"):
+            loads(json.dumps(doc))
+
     @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("where", [
         "number", "tuple", "interval", "fuzzy support", "change", "provenance seq",
