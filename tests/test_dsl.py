@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DISJOINT, POLYGONS
+from foodn import eval_method
 from foodn.dsl import _tokenize, parse_network
 from foodn.errors import DslError
 from foodn.model import (
@@ -441,7 +442,67 @@ class TestWarnings:
         assert (warnings[0].line, warnings[0].col) == (3, 1)
         assert "M" in net.modifiers  # a warning does not block the build
 
+    def test_reflection_lint_on_a_semantic_mismatch(self):
+        text = (
+            'class Target { property p1 "Colour" = 2; }\n'
+            'object O { p1 "Kind" = 1; }\n'
+            'modifier M object O -> O_next target-class Target {\n'
+            '  p1: 1 -> 2;\n'
+            '}\n'
+        )
+        _, warnings = parse_network(text)
+        assert [(w.severity, w.message, w.line, w.col) for w in warnings] == [(
+            "warning", "modifier M: the result would not belong to its target class Target", 3, 1,
+        )]
+
+    @pytest.mark.parametrize("modifier", [
+        "modifier M object Gone -> O_next target-class Target { p1: 1 -> 2; }",  # no source object
+        "modifier M object O -> O_next target-class Gone { p1: 1 -> 2; }",  # no target class
+        "modifier M object O -> O_next target-class Target { p1: 3 -> 2; }",  # does not apply
+    ], ids=["unknown source", "unknown target class", "not applicable"])
+    def test_reflection_lint_stays_silent_when_it_cannot_judge(self, modifier):
+        text = (
+            'class Target { property p1 "Kind" = 5; }\n'
+            'object O { p1 "Kind" = 1; }\n' + modifier + "\n"
+        )
+        net, warnings = parse_network(text)
+        assert warnings == [] and "M" in net.modifiers
+
     def test_fixture_parses_clean(self, polygons):
         # the conftest fixture already asserts zero warnings; spot-check one
         # modifier that names a target class and does satisfy it
         assert polygons.modifiers["M2_Rb1"].target_class == "T_Sq"
+
+
+class TestExtensionsAndCounts:
+    def test_extensional_class_lists_its_members(self):
+        text = (
+            "class Pair extensional { extension a, b; }\n"
+            'object a { p1 "P" = 1; }\n'
+            'object c { p1 "P" = 1; }\n'
+        )
+        net, _ = parse_network(text)
+        pair = net.classes["Pair"]
+        assert (pair.mode, pair.extension, pair.specification) == ("extensional", ("a", "b"), ())
+        assert net.membership("a", "Pair") == 1.0
+        assert net.membership("c", "Pair") == 0.0
+        assert '"extension": [\n        "a",\n        "b"\n      ]' in dumps(net)
+
+    def test_extension_needs_a_member_name(self):
+        assert [d.message for d in errors_of("class Pair extensional { extension ; }")] == [
+            "expected a member name, got ';'",
+            "class Pair: extensional classes need members",
+        ]
+
+    def test_count_selector_binds_the_number_of_components(self):
+        text = (
+            'object Sq { p2 "Sides" = (3, 3, 3, 3) cm; p1 "Kind" = 7;\n'
+            '  method n "Corners" = "k" bind k = count(p2);\n'
+            '  method m "Ones" = "k" bind k = count(p1); }\n'
+        )
+        net, _ = parse_network(text)
+        sq = net.objects["Sq"]
+        [binding] = sq.get_method("n").bindings
+        assert (binding.var, binding.prop, binding.accessor, binding.index) == ("k", "p2", "count", None)
+        assert eval_method(sq, "n") == 4.0
+        assert eval_method(sq, "m") == 1.0  # a scalar counts as one

@@ -274,6 +274,70 @@ class TestCompatibility:
                              prop("q", "S", Interval(0.0, 1.0))) == 0.0
 
 
+# Every object value variant against every class value variant, with a
+# second class value of the same variant where content can differ.
+_FS_ONE = make_fuzzy_set([(3.0, 1.0)], unit="cm")
+TABLE_OBJECT_VALUES = {
+    "num": CrispNumber(1.0),
+    "num_near": CrispNumber(1.0 + 5e-10),
+    "num_cm": CrispNumber(4.0, "cm"),
+    "tup": CrispTuple((95.0, 85.0), "deg"),
+    "tup_plain": CrispTuple((90.0, 90.0)),
+    "ivl": Interval(0.0, 180.0, "deg"),
+    "truth": TruthDegree(0.8),
+    "fz": Fuzzy(FS),
+    "fzt": FuzzyTuple((FS, FS)),
+}
+TABLE_CLASS_VALUES = {
+    "num": CrispNumber(1.0),
+    "num0": CrispNumber(0.0),
+    "num_cm": CrispNumber(4.0, "cm"),
+    "tup": CrispTuple((95.0, 85.0), "deg"),
+    "tup_plain": CrispTuple((90.0, 90.0)),
+    "ivl": Interval(0.0, 180.0, "deg"),
+    "ivl_plain": Interval(80.0, 100.0),
+    "truth": TruthDegree(0.8),
+    "truth7": TruthDegree(0.7),
+    "fz": Fuzzy(FS),
+    "fz_one": Fuzzy(_FS_ONE),
+    "fzt": FuzzyTuple((FS, FS)),
+    "fzt_one": FuzzyTuple((FS,)),
+    "marker": FuzzyMarker(),
+    "absent": Absent(),
+}
+# the pairs that score above 0; every other pair scores exactly 0.0
+TABLE_NONZERO = {
+    ("num", "num"): 1.0,
+    ("num_near", "num"): 1.0,
+    ("num_cm", "num_cm"): 1.0,
+    ("tup", "tup"): 1.0,
+    ("tup", "ivl"): 1.0,
+    ("tup_plain", "tup_plain"): 1.0,
+    ("tup_plain", "ivl_plain"): 1.0,
+    ("truth", "num"): 0.8,
+    ("truth", "num0"): 1.0 - 0.8,
+    ("truth", "truth"): 1.0,
+    ("truth", "marker"): 0.8,
+    ("fz", "fz"): 1.0,
+    ("fz", "marker"): 1.0,
+    ("fzt", "fzt"): 1.0,
+    ("fzt", "marker"): 1.0,
+    **{(o, "absent"): 1.0 for o in TABLE_OBJECT_VALUES},
+}
+
+
+@pytest.mark.parametrize("obj_value", TABLE_OBJECT_VALUES)
+@pytest.mark.parametrize("class_value", TABLE_CLASS_VALUES)
+def test_compat_degree_table(obj_value, class_value):
+    # a crisp number against an interval, and an interval against an
+    # interval, score 0
+    degree = compat_degree(
+        prop("q", "S", TABLE_OBJECT_VALUES[obj_value]),
+        prop("q", "S", TABLE_CLASS_VALUES[class_value]),
+    )
+    assert degree == TABLE_NONZERO.get((obj_value, class_value), 0.0)
+
+
 class TestEntities:
     def test_class_validation(self):
         with pytest.raises(EmptyClass):

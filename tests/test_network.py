@@ -28,8 +28,8 @@ from foodn.model import (
     membership_degree,
 )
 from foodn.modifiers import Change, define_modifier
-from foodn.network import Network, Relation
-from foodn.serialize import dumps, to_document
+from foodn.network import Network, ProvenanceRecord, Relation
+from foodn.serialize import dumps, entity_to_doc, loads, to_document
 from oracles import oracle_infer
 
 
@@ -271,6 +271,26 @@ class TestExploiterApplication:
         assert record.sources == ("T_Rb", "T_Sq")
         assert record.target == name
 
+    @pytest.mark.parametrize("kind, props, methods", [
+        ("difference", ["p4", "p6"], ["f2"]),
+        ("sym-difference", ["p4@T_Rb", "p6@T_Rb", "p4@T_Sq", "p6@T_Sq"], ["f2@T_Rb", "f2@T_Sq"]),
+    ])
+    def test_differences_store_a_class_and_its_provenance(self, polygons, kind, props, methods):
+        before = to_document(polygons)
+        name = polygons.apply_exploiter(kind, ["T_Rb", "T_Sq"])
+        assert name == f"{kind}_T_Rb_T_Sq"
+        stored = polygons.classes[name]
+        assert stored.mode == "intensional"
+        assert [p.id for p in stored.specification] == props
+        assert [m.id for m in stored.signature] == methods
+        assert polygons.provenance == [ProvenanceRecord(1, kind, ("T_Rb", "T_Sq"), name)]
+        # the document gains exactly the class and the record
+        classes = sorted(before["classes"] + [entity_to_doc(stored)], key=lambda c: c["name"])
+        record = {"seq": 1, "op": kind, "sources": ["T_Rb", "T_Sq"], "target": name, "changes": []}
+        assert to_document(polygons) == dict(before, classes=classes, provenance=[record])
+        text = dumps(polygons)
+        assert dumps(loads(text)) == text
+
     def test_explicit_result_name(self, polygons):
         name = polygons.apply_exploiter("union", ["Rb1", "Sq1"], result_name="Shapes")
         assert name == "Shapes"
@@ -384,19 +404,63 @@ class TestModifierApplication:
         again = polygons.apply_modifier("M1_T_Sq", "T_Sq")
         assert polygons.entity(again).get_property("p6").value == TruthDegree(0.8)
 
-    def test_reflection_warning(self):
+    @pytest.mark.parametrize("semantic, reason", [
+        ("Kind", "membership degree is 0"),
+        ("Colour", "property p1: 'Kind' vs 'Colour'"),  # a SemanticMismatch
+    ])
+    def test_reflection_warning(self, semantic, reason):
         net = Network()
-        net.add(define_class("Target", [Property("p1", "Kind", CrispNumber(5.0))]))
+        net.add(define_class("Target", [Property("p1", semantic, CrispNumber(5.0))]))
         net.add(define_object("O", [Property("p1", "Kind", CrispNumber(1.0))]))
         net.register_modifier(define_modifier(
             "M", "object", "O", "O_next",
             [Change("p1", CrispNumber(1.0), CrispNumber(2.0))],
             target_class="Target",
         ))
-        with pytest.warns(ReflectionWarning, match="does not belong"):
+        with pytest.warns(ReflectionWarning) as caught:
             net.apply_modifier("M", "O")
+        [warning] = caught
+        assert str(warning.message) == (
+            f"M: result O_next does not belong to its target class Target ({reason})"
+        )
+        assert warning.filename == __file__  # it points at the caller
         # the transformation itself still went through
         assert net.entity("O_next").get_property("p1").value == CrispNumber(2.0)
+        assert net.history == {"O": "object"}
+        assert net.provenance[-1] == ProvenanceRecord(1, "M", ("O",), "O_next", net.modifiers["M"].changes)
+
+    def test_class_modifier_with_a_target_class_takes_its_signature(self, polygons):
+        polygons.register_modifier(define_modifier(
+            "M_T", "class", "T_Sq", "T_Next",
+            [Change("p6", CrispNumber(1.0), TruthDegree(0.8))],
+            target_class="T_Pg",
+        ))
+        relations = list(polygons.relations)
+        assert polygons.apply_modifier("M_T", "T_Sq") == "T_Next"
+        result = polygons.classes["T_Next"]
+        assert result.signature == polygons.classes["T_Pg"].signature
+        assert not hasattr(result, "declared_class")
+        assert result.get_property("p6").value == TruthDegree(0.8)
+        assert "T_Sq" not in polygons.classes and polygons.history == {"T_Sq": "class"}
+        assert polygons.relations == relations + [Relation("T_Next", "T_Sq", "modification-of")]
+        assert polygons.provenance == [
+            ProvenanceRecord(1, "M_T", ("T_Sq",), "T_Next", polygons.modifiers["M_T"].changes)
+        ]
+
+    def test_unusable_target_class_is_refused_before_any_change(self, polygons):
+        polygons.apply_exploiter("union", ["T_Rb", "T_Pg"])
+        change = [Change("p6", CrispNumber(1.0), TruthDegree(0.8))]
+        polygons.register_modifier(define_modifier("M_gone", "object", "Sq1", "X", change, "Nope"))
+        polygons.register_modifier(
+            define_modifier("M_union", "object", "Sq1", "X", change, "union_T_Rb_T_Pg")
+        )
+        before = dumps(polygons)
+        with pytest.raises(UnknownEntity, match="target class 'Nope' is not live"):
+            polygons.apply_modifier("M_gone", "Sq1")
+        assert dumps(polygons) == before
+        with pytest.raises(KindMismatch, match="heterogeneous and has no signature"):
+            polygons.apply_modifier("M_union", "Sq1")
+        assert dumps(polygons) == before
 
     def test_matching_target_class_warns_nothing(self, polygons):
         import warnings as w
