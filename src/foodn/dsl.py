@@ -52,7 +52,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from ._gc import collector_paused
-from .errors import DslError, FoodnError, SemanticMismatch
+from .errors import DslError, FoodnError
 from .fuzzy import DEFAULT_TOL, make_fuzzy_set
 from .model import (
     Absent,
@@ -69,7 +69,8 @@ from .model import (
     TruthDegree,
     define_class,
     define_object,
-    membership_degree,
+    membership_degree,  # no longer called here; perfbench traces this name
+    misfit,
 )
 from .modifiers import Change, check_applicable, define_modifier, transform
 from .network import Network
@@ -583,13 +584,7 @@ def _lint(net, diags, name, tok):
     entity = net.objects[mod.source]
     if not check_applicable(mod, entity, net.tol)[0]:
         return
-    try:
-        degree = membership_degree(
-            transform(mod, entity), net.classes[mod.target_class], "min", net.tol
-        )
-    except SemanticMismatch:
-        degree = 0.0
-    if degree == 0.0:
+    if misfit(transform(mod, entity), net.classes[mod.target_class], net.tol) is not None:
         message = (
             f"modifier {mod.name}: the result would not belong to its "
             f"target class {mod.target_class}"

@@ -308,9 +308,9 @@ def compat_degree(obj_prop: Property, class_prop: Property, tol: float = DEFAULT
 
     if isinstance(cv, Absent):
         return 1.0
-    if isinstance(ov, CrispNumber) and isinstance(cv, CrispNumber):
-        return 1.0 if value_equivalent(ov, cv, tol) else 0.0
-    if isinstance(ov, CrispTuple) and isinstance(cv, CrispTuple):
+    if isinstance(ov, Interval):
+        return 0.0  # an object's interval is a range, not a value: it meets no class value
+    if type(ov) is type(cv):
         return 1.0 if value_equivalent(ov, cv, tol) else 0.0
     if isinstance(ov, CrispTuple) and isinstance(cv, Interval):
         if ov.unit != cv.unit:
@@ -318,10 +318,6 @@ def compat_degree(obj_prop: Property, class_prop: Property, tol: float = DEFAULT
         return 1.0 if all(cv.contains(x) for x in ov.values) else 0.0
     if isinstance(ov, (Fuzzy, FuzzyTuple)) and isinstance(cv, FuzzyMarker):
         return 1.0
-    if isinstance(ov, Fuzzy) and isinstance(cv, Fuzzy):
-        return 1.0 if value_equivalent(ov, cv, tol) else 0.0
-    if isinstance(ov, FuzzyTuple) and isinstance(cv, FuzzyTuple):
-        return 1.0 if value_equivalent(ov, cv, tol) else 0.0
     if isinstance(ov, TruthDegree):
         if isinstance(cv, FuzzyMarker):
             return ov.value
@@ -330,9 +326,6 @@ def compat_degree(obj_prop: Property, class_prop: Property, tol: float = DEFAULT
                 return ov.value
             if abs(cv.value) <= tol:
                 return 1.0 - ov.value
-            return 0.0
-        if isinstance(cv, TruthDegree):
-            return 1.0 if abs(ov.value - cv.value) <= tol else 0.0
     return 0.0
 
 
@@ -484,3 +477,13 @@ def membership_degree(obj: FuzzyObject, cls, tnorm: str = "min", tol: float = DE
             d = compat_degree(op, cp, tol)
         degree = norm(degree, d)
     return degree
+
+
+def misfit(obj: FuzzyObject, cls, tol: float = DEFAULT_TOL) -> str | None:
+    """Why *obj* does not belong to *cls* under the min t-norm: the
+    SemanticMismatch message, or "membership degree is 0"; None if it does."""
+    try:
+        degree = membership_degree(obj, cls, "min", tol)
+    except SemanticMismatch as exc:
+        return str(exc)
+    return None if degree > 0.0 else "membership degree is 0"

@@ -36,6 +36,7 @@ from .model import (
     entity_kind,
     is_fuzzy_entity,
     membership_degree,
+    misfit,
 )
 from .modifiers import Modifier, check_applicable, transform
 
@@ -190,24 +191,20 @@ class Network:
         self._adjacency["out"][relation.kind].setdefault(relation.source, []).append(relation.target)
         self._adjacency["in"][relation.kind].setdefault(relation.target, []).append(relation.source)
 
-    def _append_relation(self, relation: Relation):
-        src = self._endpoint_kind(relation.source)
-        tgt = self._endpoint_kind(relation.target)
-        want_src, want_tgt = _ENDPOINT_RULES[relation.kind]
+    def add_relation(self, source: str, target: str, kind: str, degree: float = 1.0):
+        relation = Relation(source, target, kind, degree)
+        src = self._endpoint_kind(source)
+        tgt = self._endpoint_kind(target)
+        want_src, want_tgt = _ENDPOINT_RULES[kind]
         if want_src == "same":
             if src != tgt:
-                raise KindMismatch(
-                    f"{relation.kind} links entities of one kind, got {src} and {tgt}"
-                )
+                raise KindMismatch(f"{kind} links entities of one kind, got {src} and {tgt}")
         else:
             if want_src is not None and src != want_src:
-                raise KindMismatch(f"{relation.kind} needs a {want_src} source, got {src}")
+                raise KindMismatch(f"{kind} needs a {want_src} source, got {src}")
             if want_tgt is not None and tgt != want_tgt:
-                raise KindMismatch(f"{relation.kind} needs a {want_tgt} target, got {tgt}")
+                raise KindMismatch(f"{kind} needs a {want_tgt} target, got {tgt}")
         self._insert(relation)
-
-    def add_relation(self, source: str, target: str, kind: str, degree: float = 1.0):
-        self._append_relation(Relation(source, target, kind, degree))
 
     def register_modifier(self, modifier: Modifier):
         if modifier.name in self.modifiers:
@@ -355,10 +352,23 @@ class Network:
 
     # -- dynamics ---------------------------------------------------------
 
-    def _record(self, op: str, sources, target: str, changes=()):
+    def _bind(self, entity, op: str, sources, changes=(), retired: str | None = None) -> str:
+        """Store an exploiter's or a modifier's result and append its
+        provenance record; the one place either enters the network.  A
+        modifier's result retires its source: the source moves into history,
+        behind a modification-of edge from the result.  Callers check
+        everything first, so nothing here can fail."""
+        live = self.objects if isinstance(entity, FuzzyObject) else self.classes
+        if retired is not None:
+            del live[retired]
+            self.history[retired] = entity_kind(entity)
+        live[entity.name] = entity
+        if retired is not None:
+            self.add_relation(entity.name, retired, "modification-of")
         self.provenance.append(
-            ProvenanceRecord(len(self.provenance) + 1, op, tuple(sources), target, tuple(changes))
+            ProvenanceRecord(len(self.provenance) + 1, op, tuple(sources), entity.name, tuple(changes))
         )
+        return entity.name
 
     def apply_exploiter(self, kind: str, names, result_name: str | None = None, index: int | None = None) -> str:
         """Run an exploiter over live entities and store what it creates.
@@ -381,9 +391,7 @@ class Network:
             result = _exp.clone_op(entities[0], index)
             if self._live(result.name):
                 raise NameCollision(f"{result.name!r} is already live")
-            self.add(result)
-            self._record("clone", names, result.name)
-            return result.name
+            return self._bind(result, kind, names)
 
         if index is not None:
             raise ArityError(f"{kind} takes no index; only clone does")
@@ -405,9 +413,7 @@ class Network:
             if len(entities) != 2:
                 raise ArityError(f"sym-difference takes two entities, got {len(entities)}")
             stored = _exp.sym_difference_op(entities[0], entities[1], result_name, self.tol)
-        self.classes[stored.name] = stored
-        self._record(kind, names, stored.name)
-        return stored.name
+        return self._bind(stored, kind, names)
 
     def apply_modifier(self, modifier_name: str, entity_name: str) -> str:
         """Replace the entity with its transformed version.
@@ -427,7 +433,6 @@ class Network:
             )
 
         result = transform(mod, entity)
-        donor = None
         if mod.target_class is not None:
             if mod.target_class not in self.classes:
                 raise UnknownEntity(f"target class {mod.target_class!r} is not live")
@@ -436,40 +441,21 @@ class Network:
                 raise KindMismatch(
                     f"target class {mod.target_class!r} is heterogeneous and has no signature"
                 )
+            # donate before renaming, so a clash of ids is reported under the source name
+            declared = {"declared_class": donor.name} if isinstance(result, FuzzyObject) else {}
+            result = replace(result, signature=donor.signature, **declared)
+        result = replace(result, name=self._fresh_name(mod.target_name))
+        # a conflicting degree must fail here, before _bind changes anything
+        self._is_new(Relation(result.name, entity_name, "modification-of"))
+        self._bind(result, modifier_name, (entity_name,), mod.changes, retired=entity_name)
 
-        kind = entity_kind(entity)
-        new_name = self._fresh_name(mod.target_name)
-        if donor is not None:
-            if kind == "object":
-                result = replace(result, signature=donor.signature, declared_class=donor.name)
-            else:
-                result = replace(result, signature=donor.signature)
-        result = replace(result, name=new_name)
-        edge = Relation(new_name, entity_name, "modification-of")
-        self._is_new(edge)  # a conflicting degree must fail here, not below
-
-        # point of no return; nothing below can fail
-        if kind == "object":
-            del self.objects[entity_name]
-            self.objects[new_name] = result
-        else:
-            del self.classes[entity_name]
-            self.classes[new_name] = result
-        self.history[entity_name] = kind
-        self._append_relation(edge)
-        self._record(modifier_name, (entity_name,), new_name, mod.changes)
-
-        if kind == "object" and mod.target_class is not None:
-            try:
-                degree = membership_degree(result, donor, "min", self.tol)
-                reason = None if degree > 0.0 else "membership degree is 0"
-            except SemanticMismatch as exc:
-                reason = str(exc)
+        if isinstance(result, FuzzyObject) and mod.target_class is not None:
+            reason = misfit(result, self.classes[mod.target_class], self.tol)
             if reason is not None:
                 warnings.warn(
-                    f"{modifier_name}: result {new_name} does not belong to its "
+                    f"{modifier_name}: result {result.name} does not belong to its "
                     f"target class {mod.target_class} ({reason})",
                     ReflectionWarning,
                     stacklevel=2,
                 )
-        return new_name
+        return result.name
