@@ -459,12 +459,22 @@ def membership_degree(obj: FuzzyObject, cls, tnorm: str = "min", tol: float = DE
     Intensional classes aggregate per-property compatibility with the chosen
     t-norm; a class property missing from the object scores 0 unless the
     class marks it absent.  Extensional classes test the member list.
-    Heterogeneous classes take the best projection.  The tolerance must
-    be a finite number >= 0 (ValueError otherwise).
+    Heterogeneous classes take the best projection; a projection whose
+    vocabulary does not match the object's (SemanticMismatch) counts 0, and
+    the first mismatch is raised only when every projection mismatches.
+    The tolerance must be a finite number >= 0 (ValueError otherwise).
     """
     tol = check_tolerance(tol)
     if isinstance(cls, HeterogeneousClass):
-        return max(membership_degree(obj, proj, tnorm, tol) for proj in cls.projections)
+        degrees, mismatch = [], None
+        for proj in cls.projections:
+            try:
+                degrees.append(membership_degree(obj, proj, tnorm, tol))
+            except SemanticMismatch as exc:
+                mismatch = mismatch or exc
+        if not degrees:
+            raise mismatch
+        return max(degrees)
     if cls.mode == "extensional":
         return 1.0 if obj.name in cls.extension else 0.0
     norm = t_norm(tnorm)

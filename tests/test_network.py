@@ -194,6 +194,18 @@ class TestQueries:
         assert all(r.degree == 1.0 for r in proposals)
         assert len(net.relations) == 1  # proposals are not stored
 
+    def test_a_union_skips_a_projection_that_does_not_apply(self):
+        net = Network()
+        net.add(define_class("A", [Property("p1", "Sides", CrispNumber(4.0))]))
+        net.add(define_class("B", [Property("p1", "Colour", CrispNumber(1.0))]))
+        net.add(define_object("O", [Property("p1", "Sides", CrispNumber(4.0))], declared_class="A"))
+        union = net.apply_exploiter("union", ["A", "B"])
+        assert net.membership("O", "A") == net.membership("O", union) == 1.0
+        assert [(r.target, r.degree) for r in net.infer_relations()] == [("A", 1.0), (union, 1.0)]
+        net.add(define_class("C", [Property("p1", "Weight", CrispNumber(4.0))]))
+        with pytest.raises(SemanticMismatch, match="'Sides' vs 'Colour'"):  # the first of two
+            net.membership("O", net.apply_exploiter("union", ["B", "C"]))
+
     def test_infer_threshold(self, polygons):
         proposals = polygons.infer_relations(threshold=0.9)
         pairs = {(r.source, r.target) for r in proposals}

@@ -12,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foodn import fixture_path, load_file
-from foodn.errors import DoesNotExist, DuplicateName, FoodnError, KindMismatch, UnknownEndpoint
+from foodn.errors import (
+    DoesNotExist,
+    DuplicateName,
+    FoodnError,
+    KindMismatch,
+    SemanticMismatch,
+    UnknownEndpoint,
+)
 from foodn.exploiters import (
     difference_op,
     intersection_op,
@@ -33,6 +40,7 @@ from foodn.model import (
     compat_degree,
     define_class,
     define_object,
+    membership_degree,
 )
 from foodn.network import RELATION_KINDS, Network
 from foodn.serialize import dumps, entity_to_doc, loads
@@ -391,3 +399,37 @@ def test_infer_scores_each_class_property_once_per_object(net):
         patch.setattr(network, "compat_degree", comparing)
         net.infer_relations()
     assert len(compared) == len(set(compared))
+
+
+@st.composite
+def union_of_classes(draw):
+    """An object and a network holding it and the union of two or three
+    intensional classes over PROP_POOL, where an id now and then carries
+    another semantic."""
+    net = Network()
+    net.add(define_object("O", draw(some_properties(infer_object_values))))
+    names = []
+    for i in range(draw(st.integers(2, 3))):
+        props = draw(some_properties(infer_class_values))
+        net.add(define_class(f"C{i}", props, [] if props else [METHOD]))
+        names.append(f"C{i}")
+    return net, net.apply_exploiter("union", names)
+
+
+@MANY
+@given(case=union_of_classes(), tnorm=st.sampled_from(["min", "product"]))
+def test_a_union_scores_the_best_projection_that_does_not_mismatch(case, tnorm):
+    net, union = case
+    obj = net.objects["O"]
+    degrees, mismatches = [], []
+    for proj in net.classes[union].projections:
+        try:
+            degrees.append(membership_degree(obj, proj, tnorm, net.tol))
+        except SemanticMismatch as exc:
+            mismatches.append(str(exc))
+    if degrees:
+        assert net.membership("O", union, tnorm) == max(degrees)
+    else:  # every projection mismatches: the first mismatch is raised
+        with pytest.raises(SemanticMismatch) as info:
+            net.membership("O", union, tnorm)
+        assert str(info.value) == mismatches[0]
