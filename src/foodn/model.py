@@ -173,6 +173,12 @@ def _check_strings(owner: str, **fields):
             raise ValueError(f"{owner} {name} must be a string, got {value!r}")
 
 
+def _check_name(owner: str, name):
+    if not (isinstance(name, str) and name):  # hot: inline test
+        _check_strings(owner, name=name)
+        raise ValueError(f"{owner} name must be non-empty")
+
+
 @dataclass(frozen=True, slots=True)
 class Property:
     id: str
@@ -369,8 +375,7 @@ class ClassSpec(_Specified):
     extension: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("class name must be non-empty")
+        _check_name("class", self.name)
         if self.mode not in ("intensional", "extensional"):
             raise ValueError(f"unknown class mode {self.mode!r}")
         _check_ids(self.name, self.specification, self.signature)
@@ -392,8 +397,7 @@ class HeterogeneousClass:
     projections: tuple[ClassSpec, ...]
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("class name must be non-empty")
+        _check_name("class", self.name)
         if len(self.projections) < 2:
             raise ValueError("a heterogeneous class needs at least two projections")
         if not all(isinstance(p, ClassSpec) for p in self.projections):
@@ -411,8 +415,9 @@ class FuzzyObject(_Specified):
     declared_class: str | None = None
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("object name must be non-empty")
+        _check_name("object", self.name)
+        if not (self.declared_class is None or isinstance(self.declared_class, str)):
+            _check_strings("object", declared_class=self.declared_class)
         _check_ids(self.name, self.specification, self.signature)
         for p in self.specification:
             if isinstance(p.value, ABSTRACT_VARIANTS):

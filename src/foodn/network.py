@@ -70,7 +70,7 @@ class Relation:
     def __post_init__(self):
         if self.kind not in RELATION_KINDS:
             raise KindMismatch(f"unknown relation kind {self.kind!r}")
-        check_degree(self.degree, "relation degree")
+        object.__setattr__(self, "degree", check_degree(self.degree, "relation degree"))
 
     def __str__(self):
         text = f"{self.source} {self.kind} {self.target}"

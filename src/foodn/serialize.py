@@ -44,7 +44,31 @@ def _fs_doc(fs: FuzzySet) -> dict:
 
 
 def _fs_from(doc) -> FuzzySet:
-    return FuzzySet(tuple((float(s), float(d)) for s, d in doc["elements"]), doc["unit"])
+    elements = tuple((_number(s), _number(d)) for s, d in doc["elements"])
+    return FuzzySet(elements, _unit(doc["unit"]))
+
+
+# A document's numbers, units and flags are checked as they are read: float()
+# alone would take "4" and true, and a unit of [] or {} would load and fail
+# later, where it is hashed or sorted.
+
+
+def _number(x) -> float:
+    if type(x) is float or type(x) is int:  # not bool, a subclass of int
+        return float(x)
+    raise ValueError(f"expected a number, got {x!r}")
+
+
+def _unit(unit):
+    if unit is None or type(unit) is str:
+        return unit
+    raise ValueError(f"a unit must be a string or null, got {unit!r}")
+
+
+def _flag(flag) -> bool:
+    if flag is True or flag is False:
+        return flag
+    raise ValueError(f"an interval bound flag must be true or false, got {flag!r}")
 
 
 def value_to_doc(value) -> dict:
@@ -91,15 +115,14 @@ def value_from_doc(doc):
 def _value_from(doc):
     kind = doc["kind"]
     if kind == "number":
-        return CrispNumber(float(doc["value"]), doc["unit"])
+        return CrispNumber(_number(doc["value"]), _unit(doc["unit"]))
     if kind == "tuple":
-        return CrispTuple(tuple(float(v) for v in doc["values"]), doc["unit"])
+        return CrispTuple(tuple(map(_number, doc["values"])), _unit(doc["unit"]))
     if kind == "interval":
-        return Interval(
-            float(doc["lo"]), float(doc["hi"]), doc["unit"], doc["lo_open"], doc["hi_open"]
-        )
+        lo, hi = _number(doc["lo"]), _number(doc["hi"])
+        return Interval(lo, hi, _unit(doc["unit"]), _flag(doc["lo_open"]), _flag(doc["hi_open"]))
     if kind == "truth":
-        return TruthDegree(float(doc["value"]))
+        return TruthDegree(_number(doc["value"]))
     if kind == "fuzzy-marker":
         return FuzzyMarker()
     if kind == "absent":
@@ -278,7 +301,7 @@ def _network_from(doc, tol: float) -> Network:
     for edoc in doc["objects"]:
         net.add(_entity_from(edoc, methods))
     for rdoc in doc["relations"]:
-        net.add_relation(rdoc["source"], rdoc["target"], rdoc["kind"], rdoc["degree"])
+        net.add_relation(rdoc["source"], rdoc["target"], rdoc["kind"], _number(rdoc["degree"]))
     for mdoc in doc["modifiers"]:
         net.register_modifier(
             Modifier(

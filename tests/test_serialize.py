@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -317,6 +318,53 @@ class TestNetworkDocs:
         text = json.dumps(doc)  # writes Infinity, -Infinity or NaN
         with pytest.raises(CorruptDocument, match="bad network document: .*(finite|convert float)"):
             loads(text)
+
+    @pytest.mark.parametrize("where, value, message", [
+        ("class name", 2.5, "class name must be a string"),  # sorting names would fail
+        ("projection name", 2, "class name must be a string"),
+        ("object name", ["Rb1"], "object name must be a string"),
+        ("declared class", 5, "object declared_class must be a string"),
+        ("unit", {}, "a unit must be a string or null"),  # unhashable in infer_relations
+        ("fuzzy unit", ["cm"], "a unit must be a string or null"),
+        ("interval flag", [], "an interval bound flag must be true or false"),
+        ("interval flag", 1, "an interval bound flag must be true or false"),
+        ("degree", True, "expected a number, got True"),  # would be written back as true
+        ("degree", "0.5", "expected a number, got '0.5'"),
+        ("value", "4", "expected a number, got '4'"),  # float() would read 4.0
+        ("value", False, "expected a number, got False"),
+        ("tuple component", "90", "expected a number, got '90'"),
+        ("fuzzy degree", True, "expected a number, got True"),
+    ])
+    def test_mistyped_fields_are_corrupt(self, polygons, where, value, message):
+        polygons.apply_exploiter("union", ["T_Rb", "T_Sq"])
+        doc = to_document(polygons)
+        [union] = [c for c in doc["classes"] if c["name"] == "union_T_Rb_T_Sq"]
+        [t_pg] = [c for c in doc["classes"] if c["name"] == "T_Pg"]
+        [rb1] = [o for o in doc["objects"] if o["name"] == "Rb1"]
+        values = {p["id"]: p["value"] for p in rb1["properties"]}
+        angles = next(p["value"] for p in t_pg["properties"] if p["id"] == "p4")
+        owner, key = {
+            "class name": (t_pg, "name"),
+            "projection name": (union["projections"][0], "name"),
+            "object name": (rb1, "name"),
+            "declared class": (rb1, "declared_class"),
+            "unit": (angles, "unit"),
+            "fuzzy unit": (values["p2"]["values"][0], "unit"),
+            "interval flag": (angles, "lo_open"),
+            "degree": (doc["relations"][0], "degree"),
+            "value": (values["p1"], "value"),
+            "tuple component": (values["p4"]["values"], 0),
+            "fuzzy degree": (values["p2"]["values"][0]["elements"][0], 1),
+        }[where]
+        owner[key] = value
+        with pytest.raises(CorruptDocument, match=f"bad network document: {re.escape(message)}"):
+            loads(json.dumps(doc))
+
+    def test_relation_degrees_are_stored_as_floats(self, polygons):
+        polygons.add_relation("Rb1", "Sq1", "association", 1)
+        [relation] = [r for r in polygons.relations if r.kind == "association"]
+        assert type(relation.degree) is float
+        assert '"degree": 1.0' in dumps(polygons)
 
     def test_family_outside_sum_is_corrupt(self, polygons):
         doc = to_document(polygons)
