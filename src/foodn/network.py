@@ -70,7 +70,9 @@ class Relation:
     def __post_init__(self):
         if self.kind not in RELATION_KINDS:
             raise KindMismatch(f"unknown relation kind {self.kind!r}")
-        object.__setattr__(self, "degree", check_degree(self.degree, "relation degree"))
+        degree = check_degree(self.degree, "relation degree")
+        if type(self.degree) is not float:
+            object.__setattr__(self, "degree", degree)
 
     def __str__(self):
         text = f"{self.source} {self.kind} {self.target}"
@@ -173,20 +175,22 @@ class Network:
         for relation in relations:
             self._insert(relation)
 
-    def _is_new(self, relation: Relation) -> bool:
-        """False for an exact duplicate, which set semantics make a no-op;
-        raises DuplicateName when the edge is present with another degree."""
-        existing = self._by_key.get((relation.source, relation.target, relation.kind))
+    def _is_new(self, key: tuple[str, str, str], degree: float) -> bool:
+        """False for an exact duplicate of the (source, target, kind) edge,
+        which set semantics make a no-op; raises DuplicateName when the edge
+        is present with another degree."""
+        existing = self._by_key.get(key)
         if existing is None:
             return True
-        if existing.degree == relation.degree:
+        if existing.degree == degree:
             return False
         raise DuplicateName(f"relation {existing} already present with a different degree")
 
     def _insert(self, relation: Relation):
-        if not self._is_new(relation):
+        key = (relation.source, relation.target, relation.kind)
+        if not self._is_new(key, relation.degree):
             return
-        self._by_key[(relation.source, relation.target, relation.kind)] = relation
+        self._by_key[key] = relation
         self._relations.append(relation)
         self._adjacency["out"][relation.kind].setdefault(relation.source, []).append(relation.target)
         self._adjacency["in"][relation.kind].setdefault(relation.target, []).append(relation.source)
@@ -446,7 +450,7 @@ class Network:
             result = replace(result, signature=donor.signature, **declared)
         result = replace(result, name=self._fresh_name(mod.target_name))
         # a conflicting degree must fail here, before _bind changes anything
-        self._is_new(Relation(result.name, entity_name, "modification-of"))
+        self._is_new((result.name, entity_name, "modification-of"), 1.0)
         self._bind(result, modifier_name, (entity_name,), mod.changes, retired=entity_name)
 
         if isinstance(result, FuzzyObject) and mod.target_class is not None:
