@@ -71,7 +71,7 @@ class Relation:
         if self.kind not in RELATION_KINDS:
             raise KindMismatch(f"unknown relation kind {self.kind!r}")
         degree = check_degree(self.degree, "relation degree")
-        if type(self.degree) is not float:
+        if type(self.degree) is not float:  # a document would write back 1 or true
             object.__setattr__(self, "degree", degree)
 
     def __str__(self):
