@@ -87,27 +87,18 @@ def free_vars(expr: Expr) -> set[str]:
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>\S))"
 )
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            tail = text[pos:].lstrip()
-            if not tail:
-                break
-            raise ExprSyntaxError(f"unexpected character {tail[0]!r}", pos + (len(text[pos:]) - len(tail)))
-        if m.group("num") is not None:
-            tokens.append(("num", float(m.group("num")), m.start("num")))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {m[kind]!r}", m.start(kind))
+        tokens.append((kind, float(m[kind]) if kind == "num" else m[kind], m.start(kind)))
     tokens.append(("end", None, len(text)))
     return tokens
 
@@ -159,25 +150,20 @@ class _Parser:
             raise ExprSyntaxError(f"unexpected {value!r}", pos)
         return node
 
-    def expr(self):
-        node, height = self.term()
+    def expr(self, ops: str = "+-"):
+        """expr, or term when *ops* is "*/": operands joined by a left-associative
+        operator pair.  An expr's operands are terms, a term's are unaries."""
+        node = None
         while True:
-            kind, value, pos = self.peek()
-            if kind != "op" or value not in "+-":
+            right, rh = self.expr("*/") if ops == "+-" else self.unary()
+            if node is None:
+                node, height = right, rh
+            else:
+                node, height = Bin(op, node, right), self.deeper(max(height, rh) + 1, pos)
+            kind, op, pos = self.peek()
+            if kind != "op" or op not in ops:
                 return node, height
             self.take()
-            right, rh = self.term()
-            node, height = Bin(value, node, right), self.deeper(max(height, rh) + 1, pos)
-
-    def term(self):
-        node, height = self.unary()
-        while True:
-            kind, value, pos = self.peek()
-            if kind != "op" or value not in "*/":
-                return node, height
-            self.take()
-            right, rh = self.unary()
-            node, height = Bin(value, node, right), self.deeper(max(height, rh) + 1, pos)
 
     def unary(self):
         kind, value, pos = self.peek()

@@ -147,15 +147,6 @@ def fs_equal(a: FuzzySet, b: FuzzySet, tol: float = DEFAULT_TOL) -> bool:
     )
 
 
-def _aligned_supports(a: FuzzySet, b: FuzzySet, tol: float):
-    """Union of both support lists, with within-*tol* duplicates folded."""
-    out: list[float] = []
-    for s in sorted(a.supports() + b.supports()):
-        if not out or s - out[-1] > tol:
-            out.append(s)
-    return out
-
-
 def _degree_at(fs: FuzzySet, support: float, tol: float) -> float:
     for s, d in fs.elements:
         if abs(s - support) <= tol:
@@ -163,19 +154,24 @@ def _degree_at(fs: FuzzySet, support: float, tol: float) -> float:
     return 0.0
 
 
-def _check_units(a: FuzzySet, b: FuzzySet):
+def _pointwise(a: FuzzySet, b: FuzzySet, get_norm, tol: float):
+    """Canonical pairs of norm(degree in a, degree in b) at every support of
+    either set, supports within *tol* folded into the smallest.  get_norm()
+    gives norm after the units are checked, so a unit mismatch is reported
+    before an unknown t-norm."""
     if a.unit != b.unit:
         raise UnitMismatch(f"units differ: {a.unit!r} vs {b.unit!r}")
+    norm = get_norm()
+    pairs: list[tuple[float, float]] = []
+    for s in sorted(a.supports() + b.supports()):
+        if not pairs or s - pairs[-1][0] > tol:
+            pairs.append((s, norm(_degree_at(a, s, tol), _degree_at(b, s, tol))))
+    return merge_pairs(pairs, tol)
 
 
 def fs_union(a: FuzzySet, b: FuzzySet, tol: float = DEFAULT_TOL) -> FuzzySet:
     """Pointwise max over the aligned supports of both sets."""
-    _check_units(a, b)
-    pairs = [
-        (s, max(_degree_at(a, s, tol), _degree_at(b, s, tol)))
-        for s in _aligned_supports(a, b, tol)
-    ]
-    return FuzzySet(merge_pairs(pairs, tol), a.unit)
+    return FuzzySet(_pointwise(a, b, lambda: max, tol), a.unit)
 
 
 def fs_combine(a: FuzzySet, b: FuzzySet, tnorm: str = "min", tol: float = DEFAULT_TOL) -> FuzzySet:
@@ -183,13 +179,7 @@ def fs_combine(a: FuzzySet, b: FuzzySet, tnorm: str = "min", tol: float = DEFAUL
 
     Raises EmptyResult when nothing survives (disjoint supports, say).
     """
-    _check_units(a, b)
-    norm = t_norm(tnorm)
-    pairs = [
-        (s, norm(_degree_at(a, s, tol), _degree_at(b, s, tol)))
-        for s in _aligned_supports(a, b, tol)
-    ]
-    merged = merge_pairs(pairs, tol)
+    merged = _pointwise(a, b, lambda: t_norm(tnorm), tol)
     if not merged:
         raise EmptyResult("combination left no element with positive degree")
     return FuzzySet(merged, a.unit)

@@ -237,14 +237,11 @@ class Network:
         """Whether anything in the network is fuzzy, with all the reasons:
         fuzzy-valued objects, fuzzy-valued classes, graded relations."""
         witnesses: list[Witness] = []
-        for name in sorted(self.objects):
-            fuzzy, ids = is_fuzzy_entity(self.objects[name])
-            if fuzzy:
-                witnesses.append(Witness(name, "object", ids))
-        for name in sorted(self.classes):
-            fuzzy, ids = is_fuzzy_entity(self.classes[name])
-            if fuzzy:
-                witnesses.append(Witness(name, "class", ids))
+        for kind, entities in (("object", self.objects), ("class", self.classes)):
+            for name in sorted(entities):
+                fuzzy, ids = is_fuzzy_entity(entities[name])
+                if fuzzy:
+                    witnesses.append(Witness(name, kind, ids))
         for rel in self.relations:
             if rel.degree < 1.0:
                 witnesses.append(
@@ -278,18 +275,14 @@ class Network:
         steps = [self._adjacency[direction][k] for k in set(kinds)]
         found: set[str] = set()
         frontier = [name]
-        seen = {name}
         while frontier:
             here = frontier.pop()
             for step in steps:
                 for nxt in step.get(here, ()):
                     if nxt not in found:
                         found.add(nxt)
-                        if transitive and nxt not in seen:
-                            seen.add(nxt)
+                        if transitive:
                             frontier.append(nxt)
-            if not transitive:
-                break
         return sorted(found)
 
     def infer_relations(self, threshold: float = 0.0) -> list[Relation]:

@@ -12,7 +12,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 from ._gc import collector_paused
 from .errors import CorruptDocument, FoodnError, SchemaVersionMismatch
-from .fuzzy import DEFAULT_TOL, FuzzySet
+from .fuzzy import DEFAULT_TOL, FuzzySet, format_number
 from .model import (
     Absent,
     Binding,
@@ -486,60 +486,36 @@ def export_dot(net: Network, overlay=()) -> str:
     result may not exist are dashed.
     """
     overlay = list(overlay)
+    for name in overlay:
+        net.entity(name)  # raises UnknownEntity for strangers
     lines = ["digraph foodn {", "  rankdir=BT;"]
-
-    mentioned = set()
-    for r in net.relations:
-        mentioned.update((r.source, r.target))
     for name in sorted(net.objects):
         lines.append(f"  {_q(name)} [shape=box];")
     for name in sorted(net.classes):
-        shape = "ellipse"
-        extra = ""
-        if isinstance(net.classes[name], HeterogeneousClass):
-            extra = ", peripheries=2"
-        lines.append(f"  {_q(name)} [shape={shape}{extra}];")
-    for name in sorted(mentioned):
-        if name in net.objects or name in net.classes:
-            continue
-        kind = net.history.get(name)
-        shape = "box" if kind == "object" else "ellipse"
+        extra = ", peripheries=2" if isinstance(net.classes[name], HeterogeneousClass) else ""
+        lines.append(f"  {_q(name)} [shape=ellipse{extra}];")
+    ends = {name for r in net.relations for name in (r.source, r.target)}
+    for name in sorted(ends - net.objects.keys() - net.classes.keys()):
+        shape = "box" if net.history.get(name) == "object" else "ellipse"
         lines.append(f"  {_q(name)} [shape={shape}, style=dotted];")
 
     for r in sorted(net.relations, key=lambda r: (r.source, r.target, r.kind)):
-        label = r.kind
-        if r.degree < 1.0:
-            from .fuzzy import format_number
-
-            label += f" {format_number(r.degree)}"
+        label = f"{r.kind} {format_number(r.degree)}" if r.degree < 1.0 else r.kind
         style = ", style=dashed" if r.kind == "modification-of" else ""
         lines.append(f"  {_q(r.source)} -> {_q(r.target)} [label={_q(label)}{style}];")
 
-    if overlay:
-        for name in overlay:
-            net.entity(name)  # raises UnknownEntity for strangers
-        joined = ", ".join(overlay)
-        if len(overlay) >= 2:
-            for symbol, word, dashed in (
-                ("∪", "union", False),          # always exists
-                ("∩", "intersection", True),
-                ("∖", "difference", True),
-                ("÷", "sym-difference", True),
-            ):
-                if word in ("difference", "sym-difference") and len(overlay) != 2:
-                    continue
-                node = f"{symbol}({joined})"
-                style = ", style=dashed" if dashed else ""
-                lines.append(f"  {_q(node)} [shape=hexagon{style}];")
-                for name in overlay:
-                    estyle = ", style=dashed" if dashed else ""
-                    lines.append(
-                        f"  {_q(name)} -> {_q(node)} [label={_q(symbol)}{estyle}];"
-                    )
-        for name in overlay:
-            node = f"clone({name})"
-            lines.append(f"  {_q(node)} [shape=hexagon];")
-            lines.append(f"  {_q(name)} -> {_q(node)} [label={_q('clone')}];")
+    # one (node, label, arguments, style) per virtual result; only ∪ always exists
+    joined, dashed = ", ".join(overlay), ", style=dashed"
+    many, two = len(overlay) >= 2, len(overlay) == 2
+    results = [
+        (f"{symbol}({joined})", symbol, overlay, style)
+        for symbol, style, drawn in (("∪", "", many), ("∩", dashed, many), ("∖", dashed, two), ("÷", dashed, two))
+        if drawn
+    ]
+    results += [(f"clone({name})", "clone", [name], "") for name in overlay]
+    for node, label, args, style in results:
+        lines.append(f"  {_q(node)} [shape=hexagon{style}];")
+        lines.extend(f"  {_q(name)} -> {_q(node)} [label={_q(label)}{style}];" for name in args)
 
     lines.append("}")
     return "\n".join(lines) + "\n"
