@@ -7,7 +7,8 @@ degree is simply not a member.  The text form reads
 
     {1.8/0.9 + 2/1 + 2.1/0.95} cm
 
-and round-trips through :func:`format_fuzzy_set` / :func:`parse_fuzzy_set`.
+and round-trips through :func:`format_fuzzy_set` / :func:`parse_fuzzy_set`
+for every finite support, including ``1e+16`` and beyond.
 """
 from __future__ import annotations
 
@@ -224,7 +225,8 @@ _LITERAL_RE = re.compile(
     r"^\s*\{\s*(?P<body>[^{}]*?)\s*\}\s*(?P<unit>[A-Za-z_][A-Za-z0-9_^*/]*)?\s*$"
 )
 _NUM = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
-_ELEMENT_RE = re.compile(rf"^\s*(?P<s>{_NUM})\s*/\s*(?P<d>{_NUM})\s*$")
+# one element, then the end of the body or a "+" with another element after it
+_ELEMENT_RE = re.compile(rf"\s*(?P<s>{_NUM})\s*/\s*(?P<d>{_NUM})\s*(?:\Z|\+(?=\s*\S))")
 
 
 def parse_fuzzy_set(text: str) -> FuzzySet:
@@ -232,10 +234,11 @@ def parse_fuzzy_set(text: str) -> FuzzySet:
     m = _LITERAL_RE.match(text)
     if not m:
         raise EvaluationError(f"not a fuzzy set literal: {text!r}")
-    pairs = []
-    for piece in m.group("body").split("+"):
-        em = _ELEMENT_RE.match(piece)
+    body, pos, pairs = m.group("body"), 0, []
+    while not pairs or pos < len(body):
+        em = _ELEMENT_RE.match(body, pos)
         if not em:
-            raise EvaluationError(f"bad fuzzy set element: {piece.strip()!r}")
+            raise EvaluationError(f"bad fuzzy set element at {body[pos:]!r}")
         pairs.append((float(em.group("s")), float(em.group("d"))))
+        pos = em.end()
     return make_fuzzy_set(pairs, m.group("unit"))

@@ -3,6 +3,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foodn.errors import (
     DegreeOutOfRange,
@@ -163,6 +165,34 @@ class TestText:
             parse_fuzzy_set("{1/2/3}")
         with pytest.raises(EvaluationError):
             parse_fuzzy_set("not a set")
+
+    @pytest.mark.parametrize("text", ["{}", "{1/1 +}", "{+ 1/1}", "{1/1 2/1}", "{1/1 ++ 2/1}"])
+    def test_parse_rejects_empty_and_dangling_elements(self, text):
+        with pytest.raises(EvaluationError):
+            parse_fuzzy_set(text)
+
+    def test_large_supports_round_trip(self):
+        # repr writes 1e16 and beyond with an exponent sign, which is not a separator
+        fs = make_fuzzy_set([(1e16, 1.0), (2e16, 0.5)], "cm")
+        text = format_fuzzy_set(fs)
+        assert text == "{1e+16/1 + 2e+16/0.5} cm"
+        assert parse_fuzzy_set(text) == fs
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300)),
+                st.floats(0.0, 1.0, exclude_min=True),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        st.sampled_from([None, "cm", "cm^2", "m/s"]),
+    )
+    def test_text_form_round_trips_for_every_finite_support(self, pairs, unit):
+        text = format_fuzzy_set(make_fuzzy_set(pairs, unit))
+        assert format_fuzzy_set(parse_fuzzy_set(text)) == text
 
     def test_format_number(self):
         assert format_number(2.0) == "2"
