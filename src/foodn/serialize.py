@@ -28,6 +28,7 @@ from .model import (
     MethodDef,
     Property,
     TruthDegree,
+    _check_name,
     _check_strings,
 )
 from .modifiers import Change, Modifier
@@ -295,7 +296,7 @@ def from_document(doc, tol: float = DEFAULT_TOL) -> Network:
 def _network_from(doc, tol: float) -> Network:
     net = Network(tol)
     methods: dict = {}  # one MethodDef per distinct method document in this load
-    net.history = dict(doc["history"])
+    net.history = _history_from(doc["history"])
     for edoc in doc["classes"]:
         net.add(_entity_from(edoc, methods))
     for edoc in doc["objects"]:
@@ -316,6 +317,18 @@ def _network_from(doc, tol: float) -> Network:
     for pdoc in doc["provenance"]:
         net.provenance.append(_provenance_from(pdoc))
     return net
+
+
+def _history_from(history) -> dict:
+    """Retired name -> "object" or "class".  dict() alone would take a list of
+    two-letter strings as pairs, and any key or kind."""
+    if not isinstance(history, dict):
+        raise ValueError(f"history must be an object, got {history!r}")
+    for name, kind in history.items():
+        _check_name("history", name)
+        if kind not in ("object", "class"):
+            raise ValueError(f"history kind of {name!r} must be object or class, got {kind!r}")
+    return dict(history)
 
 
 def _provenance_from(doc) -> ProvenanceRecord:

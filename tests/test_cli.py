@@ -278,7 +278,7 @@ class TestExitCodes:
         assert code == 2 and "not valid JSON" in err
 
     @pytest.mark.parametrize("corrupt", [
-        "unknown endpoint", "empty interval", "provenance op", "extension member",
+        "unknown endpoint", "empty interval", "provenance op", "extension member", "history",
     ])
     def test_invalid_document_is_2(self, tmp_path, corrupt):
         doc = to_document(load_file(POLYGONS)[0])
@@ -291,6 +291,8 @@ class TestExitCodes:
         elif corrupt == "extension member":  # once loaded, and save then died in sorted()
             doc["classes"].append({"kind": "class", "name": "U", "mode": "extensional",
                                    "extension": [5, "Rb1"], "properties": [], "methods": []})
+        elif corrupt == "history":  # once loaded as {"S": "q"}
+            doc["history"] = ["Sq"]
         else:
             [t_rb] = [c for c in doc["classes"] if c["name"] == "T_Rb"]
             [angles] = [p for p in t_rb["properties"] if p["id"] == "p4"]
@@ -371,6 +373,25 @@ class TestExitCodes:
             assert (code, out) == (2, "")
             assert err.startswith(f"{path}:2:33: error: number out of range") and "Traceback" not in err
         assert not saved.exists()
+
+    @pytest.mark.parametrize("edit", [
+        ("  p1 = 4;\n  p2 = [{1.8", "  p1 = 91e3095;\n  p2 = [{1.8"),  # Rb1's count
+        ("{2.7/0.85 + 3/1", "{2.7/0.85 + 91e3095/1"),  # a support of Sq1's sides
+        ("p6 = fuzzy(0.8);\n}", "p6 = fuzzy(0.8);\n}\nobject O { p1 \"P\" = 1e999; }"),
+        ("p6 = fuzzy(0.8);\n}", "p6 = fuzzy(0.8);\n}\nobject O { p1 \"P\" = (1e999, 2); }"),
+    ], ids=["91e3095 count", "91e3095 support", "1e999", "1e999 in a tuple"])
+    def test_overflowing_literal_in_the_fixture_is_2(self, tmp_path, edit):
+        # found by editing the fixture at random: such a literal once crashed
+        # foodn check with a traceback while its message was being formatted
+        text = Path(POLYGONS).read_text(encoding="utf-8")
+        assert text.count(edit[0]) >= 1
+        path = tmp_path / "edited.foodn"
+        path.write_text(text.replace(edit[0], edit[1], 1), encoding="utf-8")
+        code, out, err = run_cli("check", "--in", str(path))
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert lines and all(line.startswith(f"{path}:") and ": error: " in line for line in lines)
+        assert "number out of range" in err and "Traceback" not in err
 
     def test_non_finite_document_value_is_2(self, tmp_path):
         doc = to_document(load_file(POLYGONS)[0])

@@ -276,6 +276,25 @@ class TestNetworkDocs:
         with pytest.raises(CorruptDocument, match=f"bad network document: {message}"):
             loads(json.dumps(doc))
 
+    @pytest.mark.parametrize("history, message", [
+        ({"Sq1": 5, "Zed": []}, "history kind of 'Sq1' must be object or class, got 5"),
+        ({"Gone": "thing"}, "history kind of 'Gone' must be object or class, got 'thing'"),
+        ({"": "object"}, "history name must be non-empty"),
+        (["Sq"], "history must be an object"),  # dict() would read {'S': 'q'}
+    ], ids=["number and list kinds", "unknown kind", "empty name", "list"])
+    def test_malformed_history_is_corrupt(self, polygons, history, message):
+        doc = to_document(polygons)
+        doc["history"] = history
+        with pytest.raises(CorruptDocument, match=f"bad network document: {re.escape(message)}"):
+            loads(json.dumps(doc))
+
+    def test_a_retired_name_that_is_live_again_still_loads(self, polygons):
+        polygons.apply_modifier("M1_Sq1", "Sq1")
+        polygons.apply_modifier("M2_Rb1", "Rb1_2")  # binds the retired Sq1 again
+        assert "Sq1" in polygons.objects and polygons.history["Sq1"] == "object"
+        text = dumps(polygons)
+        assert dumps(loads(text)) == text
+
     @pytest.mark.parametrize("extension, message", [
         ("Rb1", "class extension must be a list"),  # tuple() would read ('R', 'b', '1')
         ({"Rb1": 1}, "class extension must be a list"),  # tuple() would read its keys
