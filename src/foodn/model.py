@@ -318,10 +318,9 @@ def compat_degree(obj_prop: Property, class_prop: Property, tol: float = DEFAULT
         return 0.0  # an object's interval is a range, not a value: it meets no class value
     if type(ov) is type(cv):
         return 1.0 if value_equivalent(ov, cv, tol) else 0.0
-    if isinstance(ov, CrispTuple) and isinstance(cv, Interval):
-        if ov.unit != cv.unit:
-            return 0.0
-        return 1.0 if all(cv.contains(x) for x in ov.values) else 0.0
+    if isinstance(ov, (CrispNumber, CrispTuple)) and isinstance(cv, Interval):
+        values = ov.values if isinstance(ov, CrispTuple) else (ov.value,)  # a number is a 1-tuple
+        return 1.0 if ov.unit == cv.unit and all(cv.contains(x) for x in values) else 0.0
     if isinstance(ov, (Fuzzy, FuzzyTuple)) and isinstance(cv, FuzzyMarker):
         return 1.0
     if isinstance(ov, TruthDegree):

@@ -18,6 +18,7 @@ from foodn.errors import (
     EvaluationError,
     SemanticMismatch,
 )
+from foodn.dsl import parse_network
 from foodn.fuzzy import make_fuzzy_set
 from foodn.model import (
     Absent,
@@ -271,7 +272,37 @@ class TestCompatibility:
         assert compat_degree(prop("q", "S", CrispNumber(1.0)),
                              prop("q", "S", Fuzzy(FS))) == 0.0
         assert compat_degree(prop("q", "S", CrispNumber(0.5)),
-                             prop("q", "S", Interval(0.0, 1.0))) == 0.0
+                             prop("q", "S", FuzzyTuple((FS,)))) == 0.0
+
+    @pytest.mark.parametrize("number, interval, degree", [
+        (CrispNumber(90.0, "deg"), Interval(0.0, 180.0, "deg"), 1.0),
+        (CrispNumber(180.0, "deg"), Interval(0.0, 180.0, "deg"), 0.0),
+        (CrispNumber(180.0, "deg"), Interval(0.0, 180.0, "deg", hi_open=False), 1.0),
+        (CrispNumber(0.0, "deg"), Interval(0.0, 180.0, "deg", lo_open=False), 1.0),
+        (CrispNumber(200.0, "deg"), Interval(0.0, 180.0, "deg"), 0.0),
+        (CrispNumber(90.0), Interval(0.0, 180.0, "deg"), 0.0),
+        (CrispNumber(90.0, "cm"), Interval(0.0, 180.0, "deg"), 0.0),
+        (CrispNumber(0.5), Interval(0.0, 1.0), 1.0),
+    ], ids=["inside", "open bound", "closed bound", "closed low bound", "outside",
+            "no unit", "other unit", "both unitless"])
+    def test_number_against_interval_is_a_one_component_tuple(self, number, interval, degree):
+        assert compat_degree(prop("q", "S", number), prop("q", "S", interval)) == degree
+        as_tuple = CrispTuple((number.value,), number.unit)
+        assert compat_degree(prop("q", "S", as_tuple), prop("q", "S", interval)) == degree
+
+    def test_number_inside_an_interval_class_is_a_member(self):
+        net, diags = parse_network(
+            'class C { property p1 "A" = interval(0, 180) deg; }\n'
+            'object O { p1 "A" = 90 deg; }\n'
+            'object T { p1 "A" = (90, 90) deg; }\n'
+            'object Out { p1 "A" = 180 deg; }\n'
+        )
+        assert [d for d in diags if d.severity == "error"] == []
+        assert net.membership("O", "C") == 1.0
+        assert net.membership("T", "C") == 1.0
+        assert net.membership("Out", "C") == 0.0
+        proposed = [(r.source, r.target, r.kind, r.degree) for r in net.infer_relations()]
+        assert proposed == [("O", "C", "instance-of", 1.0), ("T", "C", "instance-of", 1.0)]
 
 
 # Every object value variant against every class value variant, with a
@@ -329,8 +360,9 @@ TABLE_NONZERO = {
 @pytest.mark.parametrize("obj_value", TABLE_OBJECT_VALUES)
 @pytest.mark.parametrize("class_value", TABLE_CLASS_VALUES)
 def test_compat_degree_table(obj_value, class_value):
-    # a crisp number against an interval, and an interval against an
-    # interval, score 0
+    # every number here lies outside the interval or carries another unit,
+    # so only tuples score against an interval; an interval against an
+    # interval scores 0
     degree = compat_degree(
         prop("q", "S", TABLE_OBJECT_VALUES[obj_value]),
         prop("q", "S", TABLE_CLASS_VALUES[class_value]),
