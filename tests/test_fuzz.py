@@ -1,6 +1,9 @@
-"""Fuzzing the JSON document format: every bad document is a FoodnError.
+"""Fuzzing both input formats: every bad input is a FoodnError.
 
-The seed document is small but holds one of everything a document can:
+A `.foodn` text with random edits either parses or raises DslError, and a
+network it gives answers every operation or refuses it with a FoodnError.
+
+For JSON, the seed document is small but holds one of everything a document can:
 each value kind, a method, a graded relation, an extensional class from a
 union of objects, a heterogeneous class from a union of classes, and the
 history, provenance and modification-of edge of a modifier.  Each example
@@ -10,14 +13,17 @@ ignored, so that each kind of field is edited as often as any other.
 """
 from __future__ import annotations
 
+import copy
 import json
 import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foodn import fixture_path
 from foodn.dsl import parse_network
-from foodn.errors import FoodnError
+from foodn.errors import DslError, FoodnError
+from foodn.evaluator import eval_method
 from foodn.serialize import dumps, export_dot, loads
 
 SEED_TEXT = """
@@ -112,3 +118,58 @@ def test_an_edited_document_loads_or_is_refused(edit_list):
     for obj in sorted(net.objects):
         for cls in sorted(net.classes):
             _answers_or_refuses(net.membership, obj, cls)
+
+
+# -- .foodn text ----------------------------------------------------------------
+
+FIXTURES = [fixture_path(name).read_text(encoding="utf-8") for name in ("polygons.foodn", "disjoint.foodn")]
+PIECES = [
+    '"', "\\", "\n", "//", "->", "-", "1e999", "91e3095", *"{}()[],;:=/+*^.",
+    "fuzzy", "absent", "interval", "extension", "degree", "target-class", "é", "²",
+]
+# (operation, a, b, c, piece): insert the piece at a, delete the span a..b, or
+# copy the span a..b to c; offsets are taken modulo the length of the text
+text_edits = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "delete", "copy"]),
+        *[st.integers(0, 10**6)] * 3,
+        st.sampled_from(PIECES),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _edited_text(text: str, edit_list) -> str:
+    for op, a, b, c, piece in edit_list:
+        a, b, c = sorted((a % (len(text) + 1), b % (len(text) + 1))) + [c % (len(text) + 1)]
+        if op == "insert":
+            text = text[:a] + piece + text[a:]
+        elif op == "delete":
+            text = text[:a] + text[b:]
+        else:
+            text = text[:c] + text[a:b] + text[c:]
+    return text
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(fixture=st.sampled_from(FIXTURES), edit_list=text_edits)
+def test_an_edited_network_text_parses_or_is_refused(fixture, edit_list):
+    try:
+        net, _ = parse_network(_edited_text(fixture, edit_list))
+    except DslError:
+        return
+    _answers_or_refuses(lambda: loads(dumps(net)))
+    _answers_or_refuses(net.is_fuzzy)
+    _answers_or_refuses(net.infer_relations)
+    live = sorted(net.objects) + sorted(net.classes)
+    _answers_or_refuses(export_dot, net, live[:2])
+    for obj in sorted(net.objects):
+        for method in net.objects[obj].signature:
+            _answers_or_refuses(eval_method, net.objects[obj], method.id)
+        for cls in sorted(net.classes):
+            _answers_or_refuses(net.membership, obj, cls)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a result that leaves its target class
+        for name, modifier in sorted(net.modifiers.items()):
+            _answers_or_refuses(copy.deepcopy(net).apply_modifier, name, modifier.source)
