@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from foodn.errors import (
@@ -161,22 +161,9 @@ class TestText:
         assert fs.unit is None and fs.elements == ((0.5, 1.0),)
 
     def test_parse_rejects_junk(self):
-        with pytest.raises(EvaluationError):
-            parse_fuzzy_set("{1/2/3}")
-        with pytest.raises(EvaluationError):
-            parse_fuzzy_set("not a set")
-
-    @pytest.mark.parametrize("text", ["{}", "{1/1 +}", "{+ 1/1}", "{1/1 2/1}", "{1/1 ++ 2/1}"])
-    def test_parse_rejects_empty_and_dangling_elements(self, text):
-        with pytest.raises(EvaluationError):
-            parse_fuzzy_set(text)
-
-    def test_large_supports_round_trip(self):
-        # repr writes 1e16 and beyond with an exponent sign, which is not a separator
-        fs = make_fuzzy_set([(1e16, 1.0), (2e16, 0.5)], "cm")
-        text = format_fuzzy_set(fs)
-        assert text == "{1e+16/1 + 2e+16/0.5} cm"
-        assert parse_fuzzy_set(text) == fs
+        for text in ("{1/2/3}", "not a set", "{}", "{1/1 +}", "{+ 1/1}", "{1/1 2/1}", "{1/1 ++ 2/1}"):
+            with pytest.raises(EvaluationError):
+                parse_fuzzy_set(text)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -190,6 +177,8 @@ class TestText:
         ),
         st.sampled_from([None, "cm", "cm^2", "m/s"]),
     )
+    # repr writes 1e16 and beyond with an exponent sign, which is not a separator
+    @example([(1e16, 1.0), (2e16, 0.5)], "cm")
     def test_text_form_round_trips_for_every_finite_support(self, pairs, unit):
         text = format_fuzzy_set(make_fuzzy_set(pairs, unit))
         assert format_fuzzy_set(parse_fuzzy_set(text)) == text
