@@ -15,10 +15,7 @@ from .fuzzy import (
     FuzzySet,
     extend,
     format_fuzzy_set,
-    fs_combine,
     fs_equal,
-    fs_intersection,
-    fs_union,
     make_fuzzy_set,
     parse_fuzzy_set,
 )

@@ -10,7 +10,7 @@ class FoodnError(Exception):
     """Base class for all engine errors."""
 
 
-# -- fuzzy algebra ----------------------------------------------------------
+# -- fuzzy sets and evaluation ----------------------------------------------
 
 class EmptyFuzzySet(FoodnError):
     """A fuzzy set needs at least one (support, degree) element."""
@@ -18,14 +18,6 @@ class EmptyFuzzySet(FoodnError):
 
 class DegreeOutOfRange(FoodnError):
     """A membership or truth degree fell outside [0, 1]."""
-
-
-class UnitMismatch(FoodnError):
-    """Operands carry different units."""
-
-
-class EmptyResult(FoodnError):
-    """An operation produced a fuzzy set with no elements left."""
 
 
 class EmptyInput(FoodnError):

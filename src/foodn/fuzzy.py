@@ -1,13 +1,15 @@
-"""Discrete fuzzy sets and the algebra the rest of the engine builds on.
+"""Discrete fuzzy sets: construction, comparison, text form and extension.
 
 A fuzzy set is a finite collection of (support, degree) elements over the
 reals, optionally tagged with a measurement unit.  The canonical form keeps
 supports strictly increasing and degrees in (0, 1]; an element with zero
-degree is simply not a member.  The text form reads
+degree is simply not a member.  Building a set merges only equal supports;
+a tolerance applies only where values are compared and in the kernel's
+merge.  There is no pointwise union or intersection of sets.  The text form
 
     {1.8/0.9 + 2/1 + 2.1/0.95} cm
 
-and round-trips through :func:`format_fuzzy_set` / :func:`parse_fuzzy_set`
+round-trips exactly through :func:`format_fuzzy_set` / :func:`parse_fuzzy_set`
 for every finite support, including ``1e+16`` and beyond.
 """
 from __future__ import annotations
@@ -16,14 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import (
-    DegreeOutOfRange,
-    EmptyFuzzySet,
-    EmptyInput,
-    EmptyResult,
-    EvaluationError,
-    UnitMismatch,
-)
+from .errors import DegreeOutOfRange, EmptyFuzzySet, EmptyInput, EvaluationError
 
 DEFAULT_TOL = 1e-9
 
@@ -68,7 +63,7 @@ def format_number(x: float) -> str:
     return repr(x)
 
 
-def merge_pairs(pairs, tol: float = DEFAULT_TOL):
+def merge_pairs(pairs, tol: float):
     """Canonicalize raw (support, degree) pairs.
 
     Sorts by support, folds together supports that agree within *tol*
@@ -120,19 +115,19 @@ class FuzzySet:
         return format_fuzzy_set(self)
 
 
-def make_fuzzy_set(pairs, unit: str | None = None, tol: float = DEFAULT_TOL) -> FuzzySet:
+def make_fuzzy_set(pairs, unit: str | None = None) -> FuzzySet:
     """Build a fuzzy set from raw pairs, normalizing as needed.
 
-    Duplicate (or within-*tol*) supports merge by max degree; zero-degree
-    elements are dropped.  Degrees outside [0, 1] raise DegreeOutOfRange,
-    an empty (or all-zero) input raises EmptyFuzzySet.
+    Equal supports merge by max degree, however close distinct ones lie;
+    zero-degree elements are dropped.  Degrees outside [0, 1] raise
+    DegreeOutOfRange, an empty (or all-zero) input raises EmptyFuzzySet.
     """
     pairs = list(pairs)
     if not pairs:
         raise EmptyFuzzySet("a fuzzy set needs at least one element")
     for _, degree in pairs:
         check_degree(degree)
-    merged = merge_pairs(pairs, tol)
+    merged = merge_pairs(pairs, 0.0)
     if not merged:
         raise EmptyFuzzySet("all elements had zero degree")
     return FuzzySet(merged, unit)
@@ -146,48 +141,6 @@ def fs_equal(a: FuzzySet, b: FuzzySet, tol: float = DEFAULT_TOL) -> bool:
         abs(sa - sb) <= tol and abs(da - db) <= tol
         for (sa, da), (sb, db) in zip(a.elements, b.elements)
     )
-
-
-def _degree_at(fs: FuzzySet, support: float, tol: float) -> float:
-    for s, d in fs.elements:
-        if abs(s - support) <= tol:
-            return d
-    return 0.0
-
-
-def _pointwise(a: FuzzySet, b: FuzzySet, get_norm, tol: float):
-    """Canonical pairs of norm(degree in a, degree in b) at every support of
-    either set, supports within *tol* folded into the smallest.  get_norm()
-    gives norm after the units are checked, so a unit mismatch is reported
-    before an unknown t-norm."""
-    if a.unit != b.unit:
-        raise UnitMismatch(f"units differ: {a.unit!r} vs {b.unit!r}")
-    norm = get_norm()
-    pairs: list[tuple[float, float]] = []
-    for s in sorted(a.supports() + b.supports()):
-        if not pairs or s - pairs[-1][0] > tol:
-            pairs.append((s, norm(_degree_at(a, s, tol), _degree_at(b, s, tol))))
-    return merge_pairs(pairs, tol)
-
-
-def fs_union(a: FuzzySet, b: FuzzySet, tol: float = DEFAULT_TOL) -> FuzzySet:
-    """Pointwise max over the aligned supports of both sets."""
-    return FuzzySet(_pointwise(a, b, lambda: max, tol), a.unit)
-
-
-def fs_combine(a: FuzzySet, b: FuzzySet, tnorm: str = "min", tol: float = DEFAULT_TOL) -> FuzzySet:
-    """Pointwise t-norm over aligned supports; absent supports count as 0.
-
-    Raises EmptyResult when nothing survives (disjoint supports, say).
-    """
-    merged = _pointwise(a, b, lambda: t_norm(tnorm), tol)
-    if not merged:
-        raise EmptyResult("combination left no element with positive degree")
-    return FuzzySet(merged, a.unit)
-
-
-def fs_intersection(a: FuzzySet, b: FuzzySet, tnorm: str = "min", tol: float = DEFAULT_TOL) -> FuzzySet:
-    return fs_combine(a, b, tnorm, tol)
 
 
 def extend(f, args, tol: float = DEFAULT_TOL):

@@ -296,7 +296,7 @@ def value_equivalent(a, b, tol: float = DEFAULT_TOL) -> bool:
     raise TypeError(f"not a property value: {a!r}")
 
 
-def property_equivalent(a: Property, b: Property, tol: float = DEFAULT_TOL) -> bool:
+def property_equivalent(a: Property, b: Property, tol: float) -> bool:
     return a.semantic == b.semantic and value_equivalent(a.value, b.value, tol)
 
 
@@ -493,7 +493,7 @@ def membership_degree(obj: FuzzyObject, cls, tnorm: str = "min", tol: float = DE
     return degree
 
 
-def misfit(obj: FuzzyObject, cls, tol: float = DEFAULT_TOL) -> str | None:
+def misfit(obj: FuzzyObject, cls, tol: float) -> str | None:
     """Why *obj* does not belong to *cls* under the min t-norm: the
     SemanticMismatch message, or "membership degree is 0"; None if it does."""
     try:

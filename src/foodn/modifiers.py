@@ -14,7 +14,6 @@ from .errors import (
     EmptyChangeList,
     InvalidChange,
 )
-from .fuzzy import DEFAULT_TOL
 from .model import (
     FuzzyObject,
     HeterogeneousClass,
@@ -73,7 +72,7 @@ def define_modifier(name, level, source, target_name, changes, target_class=None
     return Modifier(name, level, source, target_name, tuple(changes), target_class)
 
 
-def check_applicable(modifier: Modifier, entity, tol: float = DEFAULT_TOL):
+def check_applicable(modifier: Modifier, entity, tol: float):
     """(verdict, reasons).  The entity's name is not consulted, only its
     level and current values; a modifier therefore reapplies to renamed
     descendants of its original source."""

@@ -247,10 +247,7 @@ def to_document(net: Network) -> dict:
             {"source": r.source, "target": r.target, "kind": r.kind, "degree": r.degree}
             for r in sorted(net.relations, key=lambda r: (r.source, r.target, r.kind))
         ],
-        "exploiters": [
-            {"kind": e.kind, "arity": e.arity}
-            for e in sorted(net.exploiters.values(), key=lambda e: e.kind)
-        ],
+        "exploiters": _exploiter_docs(net),
         "modifiers": [
             {
                 "name": m.name,
@@ -276,6 +273,13 @@ def to_document(net: Network) -> dict:
     }
 
 
+def _exploiter_docs(net: Network) -> list:
+    return [
+        {"kind": e.kind, "arity": e.arity}
+        for e in sorted(net.exploiters.values(), key=lambda e: e.kind)
+    ]
+
+
 def from_document(doc, tol: float = DEFAULT_TOL) -> Network:
     if not isinstance(doc, dict):
         raise CorruptDocument("a network document must be a JSON object")
@@ -284,8 +288,8 @@ def from_document(doc, tol: float = DEFAULT_TOL) -> Network:
         raise SchemaVersionMismatch(
             f"unsupported schema version {version!r}, expected {SCHEMA_VERSION}"
         )
-    required = ("objects", "classes", "relations", "modifiers", "provenance", "history")
-    for key in required:
+    for key in ("objects", "classes", "relations", "exploiters", "modifiers", "provenance",
+                "history"):
         if key not in doc:
             raise CorruptDocument(f"missing key {key!r}")
     # whatever the network refuses to build from the document is the
@@ -295,6 +299,10 @@ def from_document(doc, tol: float = DEFAULT_TOL) -> Network:
 
 def _network_from(doc, tol: float) -> Network:
     net = Network(tol)
+    # every network carries the universal exploiters, and nothing reads them
+    # from a document, so any other list would not survive a save
+    if doc["exploiters"] != _exploiter_docs(net):
+        raise ValueError(f"exploiters must be the universal five, got {doc['exploiters']!r}")
     methods: dict = {}  # one MethodDef per distinct method document in this load
     net.history = _history_from(doc["history"])
     for edoc in doc["classes"]:

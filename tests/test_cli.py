@@ -279,6 +279,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("corrupt", [
         "unknown endpoint", "empty interval", "provenance op", "extension member", "history",
+        "exploiters",
     ])
     def test_invalid_document_is_2(self, tmp_path, corrupt):
         doc = to_document(load_file(POLYGONS)[0])
@@ -293,6 +294,8 @@ class TestExitCodes:
                                    "extension": [5, "Rb1"], "properties": [], "methods": []})
         elif corrupt == "history":  # once loaded as {"S": "q"}
             doc["history"] = ["Sq"]
+        elif corrupt == "exploiters":  # once loaded, and save wrote the five back
+            doc["exploiters"] = []
         else:
             [t_rb] = [c for c in doc["classes"] if c["name"] == "T_Rb"]
             [angles] = [p for p in t_rb["properties"] if p["id"] == "p4"]

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foodn import eval_method, expr, serialize
+from conftest import DISJOINT, POLYGONS
+from foodn import Network, eval_method, expr, serialize
 from foodn.dsl import parse_network
-from foodn.errors import CorruptDocument, SchemaVersionMismatch, UnknownEntity
-from foodn.fuzzy import make_fuzzy_set
+from foodn.errors import CorruptDocument, FoodnError, SchemaVersionMismatch, UnknownEntity
+from foodn.fuzzy import FuzzySet, make_fuzzy_set
 from foodn.model import (
     Absent,
     Binding,
@@ -28,6 +29,7 @@ from foodn.model import (
     Property,
     TruthDegree,
     define_class,
+    define_object,
 )
 from foodn.serialize import (
     dumps,
@@ -288,6 +290,25 @@ class TestNetworkDocs:
         with pytest.raises(CorruptDocument, match=f"bad network document: {re.escape(message)}"):
             loads(json.dumps(doc))
 
+    @pytest.mark.parametrize("edit", [
+        lambda five: 5,
+        lambda five: "x",
+        lambda five: [],
+        lambda five: [{"kind": "teleport", "arity": "9"}],
+        lambda five: five[1:],
+        lambda five: [*five, five[0]],
+        lambda five: [{**five[0], "arity": "2"}, *five[1:]],
+    ], ids=["number", "string", "empty", "unknown kind", "one missing", "one twice", "arity"])
+    def test_malformed_exploiters_are_corrupt(self, polygons, edit):
+        # the loader rebuilds the universal five, so any other list would not survive a save
+        doc = to_document(polygons)
+        doc["exploiters"] = edit(doc["exploiters"])
+        with pytest.raises(CorruptDocument, match="bad network document: exploiters must be"):
+            loads(json.dumps(doc))
+        del doc["exploiters"]
+        with pytest.raises(CorruptDocument, match="missing key 'exploiters'"):
+            loads(json.dumps(doc))
+
     def test_a_retired_name_that_is_live_again_still_loads(self, polygons):
         polygons.apply_modifier("M1_Sq1", "Sq1")
         polygons.apply_modifier("M2_Rb1", "Rb1_2")  # binds the retired Sq1 again
@@ -433,6 +454,45 @@ class TestNetworkDocs:
         assert list(doc) == sorted(doc)
 
 
+def answer(call, *args):
+    """What a call returns, or the type and message of the FoodnError it raises."""
+    try:
+        return call(*args)
+    except FoodnError as exc:
+        return type(exc), str(exc)
+
+
+class TestRoutesAgree:
+    """A network read from .foodn text and the same network read back from
+    its JSON document hold the same sets and give the same answers."""
+
+    def test_close_supports_survive_both_routes(self):
+        net = Network()
+        fs = FuzzySet(((0.0, 1.0), (1e-10, 0.5)), "cm")
+        net.add(define_object("O", [Property("p1", "A", Fuzzy(fs))]))
+        text_net, _ = parse_network('object O { p1 "A" = {0/1 + 1e-10/0.5} cm; }')
+        assert dumps(text_net) == dumps(net)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.05])
+    @pytest.mark.parametrize("path", [POLYGONS, DISJOINT], ids=["polygons", "disjoint"])
+    def test_membership_and_methods_agree_at_any_tolerance(self, path, tol):
+        with open(path, encoding="utf-8") as fh:
+            dsl_net, _ = parse_network(fh.read(), tol)
+        json_net = loads(dumps(dsl_net), tol)
+        assert json_net.tol == dsl_net.tol == tol
+        assert dumps(json_net) == dumps(dsl_net)
+        for obj in dsl_net.objects:
+            for cls in dsl_net.classes:
+                for tnorm in ("min", "product"):
+                    want = answer(dsl_net.membership, obj, cls, tnorm)
+                    assert answer(json_net.membership, obj, cls, tnorm) == want
+        for name, entity in {**dsl_net.objects, **dsl_net.classes}.items():
+            twin = json_net.objects.get(name) or json_net.classes[name]
+            for method in getattr(entity, "signature", ()):
+                want = answer(eval_method, entity, method.id, tol)
+                assert answer(eval_method, twin, method.id, tol) == want
+
+
 def stdlib_json(doc):
     return json.dumps(doc, sort_keys=True, indent=2)
 
@@ -570,8 +630,6 @@ class TestDot:
         assert '"Rb1_2" -> "Sq1" [label="modification-of", style=dashed];' in dot
 
     def test_graded_relation_label(self):
-        from foodn.network import Network
-        from foodn.model import define_object
         net = Network()
         net.add(define_object("A", [Property("p1", "P", CrispNumber(1.0))]))
         net.add(define_class("C", [Property("p1", "P", CrispNumber(1.0))]))
