@@ -9,11 +9,10 @@ from __future__ import annotations
 from importlib import resources
 
 from .errors import FoodnError
-from .evaluator import eval_method, evaluate_method
+from .evaluator import eval_method, evaluate_method, extend
 from .fuzzy import (
     DEFAULT_TOL,
     FuzzySet,
-    extend,
     format_fuzzy_set,
     fs_equal,
     make_fuzzy_set,

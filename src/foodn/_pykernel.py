@@ -4,7 +4,7 @@ Runs a compiled body (a function of the tuple of slot values, see
 ``expr.compile_program``) over every combination of the variables'
 supports, taking the min of the participating degrees per combination and
 the max degree over outputs that coincide within the tolerance.
-``fuzzy.extend`` runs on the same loop.
+``evaluator.extend`` runs on the same loop.
 """
 from __future__ import annotations
 

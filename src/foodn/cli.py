@@ -20,19 +20,16 @@ from .errors import (
     SchemaVersionMismatch,
 )
 from .evaluator import eval_method
+from .exploiters import UNIVERSAL_EXPLOITERS
 from .fuzzy import DEFAULT_TOL, FuzzySet, check_tolerance, format_number
 from .model import CrispNumber, Fuzzy, format_value
 from .serialize import encode_json, export_dot, load_file, save_file, value_to_doc
 
 EXPLOITER_ALIASES = {
-    "union": "union",
+    **{e.kind: e.kind for e in UNIVERSAL_EXPLOITERS},
     "intersect": "intersection",
-    "intersection": "intersection",
-    "difference": "difference",
     "diff": "difference",
     "symdiff": "sym-difference",
-    "sym-difference": "sym-difference",
-    "clone": "clone",
 }
 
 

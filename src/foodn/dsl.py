@@ -187,8 +187,7 @@ class _Parser:
 
     def accept(self, kind: str, value=None) -> bool:
         """Take the next token if it matches, and say whether it did."""
-        tok = self.tokens[self.i]
-        if tok.kind == kind and (value is None or tok.value == value):
+        if self.at(kind, value):
             self.take()
             return True
         return False
@@ -200,9 +199,9 @@ class _Parser:
         raise _Bail()
 
     def expect(self, kind: str, value=None, what: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind == kind and (value is None or tok.value == value):
+        if self.at(kind, value):
             return self.take()
+        tok = self.peek()
         want = what or (value if value is not None else kind)
         got = "end of file" if tok.kind == "eof" else repr(tok.value)
         self.error(f"expected {want}, got {got}", tok)

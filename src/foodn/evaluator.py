@@ -1,4 +1,5 @@
-"""Method evaluation over fuzzy-valued properties.
+"""Method evaluation over fuzzy-valued properties, and the extension of a
+crisp function to fuzzy arguments; both enter the kernel through one step.
 
 A MethodDef carries its body compiled, when it is built, to a Python
 function of one slot per binding; the evaluator resolves the bindings and
@@ -19,7 +20,7 @@ than with the product of the members' supports.
 from __future__ import annotations
 
 from . import kernel as _kernel
-from .errors import UnknownMethod, UnresolvedBinding
+from .errors import EmptyInput, UnknownMethod, UnresolvedBinding
 from .expr import compile_program, parse_expr
 from .fuzzy import DEFAULT_TOL, FuzzySet, check_tolerance
 from .model import (
@@ -98,25 +99,43 @@ def _fold_sum(parts, tol: float):
     return supports, degrees
 
 
-def evaluate_method(entity, method: MethodDef, tol: float = DEFAULT_TOL):
-    """Run *method* on *entity*; fuzzy inputs yield a FuzzySet, crisp a float.
-    The tolerance must be a finite number >= 0 (ValueError otherwise)."""
+def _extend(program, inputs, tol: float, unit: str | None = None):
+    """Run *program* with a slot per input (a list is its sum); a float if all are crisp."""
     tol = check_tolerance(tol)
     supports = []
     degrees = []
     any_fuzzy = False
-    for b in method.bindings:
-        resolved = resolve_binding(entity, b)
-        parts = resolved if isinstance(resolved, list) else [resolved]
+    for value in inputs:
+        parts = value if isinstance(value, list) else [value]
         any_fuzzy = any_fuzzy or any(isinstance(p, FuzzySet) for p in parts)
         s, d = _fold_sum(parts, tol)
         supports.append(s)
         degrees.append(d)
 
-    values, degs = _kernel.eval_program(method.program, supports, degrees, tol)
+    values, degs = _kernel.eval_program(program, supports, degrees, tol)
     if not any_fuzzy:
         return values[0]
-    return FuzzySet(tuple(zip(values, degs)), method.result_unit)
+    return FuzzySet(tuple(zip(values, degs)), unit)
+
+
+def evaluate_method(entity, method: MethodDef, tol: float = DEFAULT_TOL):
+    """Run *method* on *entity*; fuzzy inputs yield a FuzzySet, crisp a float.
+    The tolerance must be a finite number >= 0 (ValueError otherwise)."""
+    # lazy, so bindings resolve and fold one at a time and errors keep their order
+    inputs = (resolve_binding(entity, b) for b in method.bindings)
+    return _extend(method.program, inputs, tol, method.result_unit)
+
+
+def extend(f, args, tol: float = DEFAULT_TOL):
+    """Lift a crisp function over fuzzy arguments: every combination of
+    supports goes through *f* at the min of its degrees, and outputs equal
+    within *tol* keep the max.  A crisp argument is one point at degree 1,
+    and an all-crisp call returns a float.  Units on fuzzy arguments are
+    ignored; the caller declares the result's unit.  Kernel errors apply."""
+    inputs = [[a] for a in args]  # one-member lists: no argument is read as a family
+    if not inputs:
+        raise EmptyInput("extension needs at least one argument")
+    return _extend(lambda xs: f(*xs), inputs, tol)
 
 
 def eval_method(entity, method_id: str, tol: float = DEFAULT_TOL):

@@ -1,4 +1,4 @@
-"""Discrete fuzzy sets: construction, comparison, text form and extension.
+"""Discrete fuzzy sets: construction, comparison and text form.
 
 A fuzzy set is a finite collection of (support, degree) elements over the
 reals, optionally tagged with a measurement unit.  The canonical form keeps
@@ -18,7 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import DegreeOutOfRange, EmptyFuzzySet, EmptyInput, EvaluationError
+from .errors import DegreeOutOfRange, EmptyFuzzySet, EvaluationError
 
 DEFAULT_TOL = 1e-9
 
@@ -141,29 +141,6 @@ def fs_equal(a: FuzzySet, b: FuzzySet, tol: float = DEFAULT_TOL) -> bool:
         abs(sa - sb) <= tol and abs(da - db) <= tol
         for (sa, da), (sb, db) in zip(a.elements, b.elements)
     )
-
-
-def extend(f, args, tol: float = DEFAULT_TOL):
-    """Lift a crisp function over fuzzy arguments.
-
-    Every combination of supports is pushed through *f*; the combination's
-    degree is the min of the participating degrees, and equal outputs (within
-    *tol*) keep the max degree.  Crisp (float) arguments pass through with
-    degree 1, and an all-crisp call returns a bare float.  Units on fuzzy
-    arguments are ignored here; the caller declares the result's unit.  The
-    enumeration is the evaluation kernel's, with its errors.
-    """
-    from ._pykernel import eval_program  # _pykernel imports merge_pairs from here
-
-    args = list(args)
-    if not args:
-        raise EmptyInput("extension needs at least one argument")
-    supports = [a.supports() if isinstance(a, FuzzySet) else (float(a),) for a in args]
-    degrees = [a.degrees() if isinstance(a, FuzzySet) else (1.0,) for a in args]
-    values, degs = eval_program(lambda xs: f(*xs), supports, degrees, tol)
-    if not any(isinstance(a, FuzzySet) for a in args):
-        return values[0]
-    return FuzzySet(tuple(zip(values, degs)))
 
 
 def format_fuzzy_set(fs: FuzzySet) -> str:

@@ -263,7 +263,7 @@ def method_equivalent(a: MethodDef, b: MethodDef) -> bool:
     )
 
 
-def value_equivalent(a, b, tol: float = DEFAULT_TOL) -> bool:
+def value_equivalent(a, b, tol: float) -> bool:
     """Same variant and same content up to *tol*; units compare exactly."""
     if type(a) is not type(b):
         return False

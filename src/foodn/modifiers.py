@@ -15,11 +15,11 @@ from .errors import (
     InvalidChange,
 )
 from .model import (
-    FuzzyObject,
     HeterogeneousClass,
     Property,
     PropertyValue,
     _check_strings,
+    entity_kind,
     format_value,
     value_equivalent,
 )
@@ -35,7 +35,7 @@ class Change:
         _check_strings("change", prop=self.prop)
         if not self.prop:
             raise ValueError("change property id must be non-empty")
-        if value_equivalent(self.before, self.after):
+        if value_equivalent(self.before, self.after, 0.0):  # exactly, whatever the tolerance
             raise InvalidChange(
                 f"change to {self.prop} must alter the value, both sides are "
                 f"{format_value(self.before)}"
@@ -76,14 +76,12 @@ def check_applicable(modifier: Modifier, entity, tol: float):
     """(verdict, reasons).  The entity's name is not consulted, only its
     level and current values; a modifier therefore reapplies to renamed
     descendants of its original source."""
-    reasons = []
     if isinstance(entity, HeterogeneousClass):
-        reasons.append(f"{entity.name} is a heterogeneous class and cannot be modified")
-        return False, reasons
-    kind = "object" if isinstance(entity, FuzzyObject) else "class"
+        return False, [f"{entity.name} is a heterogeneous class and cannot be modified"]
+    kind = entity_kind(entity)
     if kind != modifier.level:
-        reasons.append(f"{modifier.name} is {modifier.level}-level, {entity.name} is a {kind}")
-        return False, reasons
+        return False, [f"{modifier.name} is {modifier.level}-level, {entity.name} is a {kind}"]
+    reasons = []
     for change in modifier.changes:
         prop = entity.get_property(change.prop)
         if prop is None:

@@ -1,9 +1,9 @@
 """The network: entities, relations, exploiters, modifiers, and history.
 
 A network is the single mutable structure in the engine.  Entities stay
-immutable; every transformation stores a new entity, retires old names into
-the history map, and appends a provenance record, so past states remain
-reconstructible from the relation graph.
+immutable; every transformation stores a new entity and appends a
+provenance record.  A modifier deletes its source: only the source's name
+and kind stay, in the history map, behind a modification-of edge.
 """
 from __future__ import annotations
 
@@ -40,15 +40,6 @@ from .model import (
 )
 from .modifiers import Modifier, check_applicable, transform
 
-RELATION_KINDS = (
-    "instance-of",
-    "is-a",
-    "a-kind-of",
-    "modification-of",
-    "aggregation",
-    "association",
-)
-
 # Endpoint kind constraints: (source kind, target kind); None means any.
 _ENDPOINT_RULES = {
     "instance-of": ("object", "class"),
@@ -58,6 +49,7 @@ _ENDPOINT_RULES = {
     "aggregation": (None, None),
     "association": (None, None),
 }
+RELATION_KINDS = tuple(_ENDPOINT_RULES)
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,15 +127,14 @@ class Network:
         if self._live(name):
             raise DuplicateName(f"{name!r} is already bound to a live entity")
 
+    def _home(self, entity) -> dict:
+        """The live map an entity belongs in; TypeError for a non-entity."""
+        return self.objects if entity_kind(entity) == "object" else self.classes
+
     def add(self, entity):
-        if isinstance(entity, FuzzyObject):
-            self._check_free(entity.name)
-            self.objects[entity.name] = entity
-        elif isinstance(entity, (ClassSpec, HeterogeneousClass)):
-            self._check_free(entity.name)
-            self.classes[entity.name] = entity
-        else:
-            raise TypeError(f"not an entity: {entity!r}")
+        home = self._home(entity)
+        self._check_free(entity.name)
+        home[entity.name] = entity
         return entity
 
     def _endpoint_kind(self, name: str) -> str:
@@ -355,7 +346,7 @@ class Network:
         modifier's result retires its source: the source moves into history,
         behind a modification-of edge from the result.  Callers check
         everything first, so nothing here can fail."""
-        live = self.objects if isinstance(entity, FuzzyObject) else self.classes
+        live = self._home(entity)
         if retired is not None:
             del live[retired]
             self.history[retired] = entity_kind(entity)
@@ -377,22 +368,21 @@ class Network:
             raise UnknownExploiter(f"no exploiter {kind!r}; have {sorted(self.exploiters)}")
         names = list(names)
         entities = [self.entity(n) for n in names]
+        arity, n = self.exploiters[kind].arity, len(entities)
+        if arity == "n" and n < 2:
+            raise ArityError(f"{kind} needs at least two entities")
+        if arity != "n" and n != int(arity):
+            raise ArityError(f"{kind} takes {'one entity' if arity == '1' else 'two entities'}, got {n}")
 
         if kind == "clone":
-            if len(entities) != 1:
-                raise ArityError(f"clone takes one entity, got {len(entities)}")
             if result_name is not None:
                 raise ArityError("clone names its result from its index; it takes no result name")
             if index is None:
                 index = next(i for i in count(1) if not self._live(f"{names[0]}_clone{i}"))
-            result = _exp.clone_op(entities[0], index)
-            if self._live(result.name):
-                raise NameCollision(f"{result.name!r} is already live")
-            return self._bind(result, kind, names)
-
-        if index is not None:
+            result_name = f"{names[0]}_clone{index}"
+        elif index is not None:
             raise ArityError(f"{kind} takes no index; only clone does")
-        if result_name is None:
+        elif result_name is None:
             result_name = f"{kind}_" + "_".join(names)
         if self._live(result_name):
             raise NameCollision(f"{result_name!r} is already live")
@@ -403,13 +393,11 @@ class Network:
         elif kind == "intersection":
             stored = _exp.intersection_op(entities, result_name, self.tol)
         elif kind == "difference":
-            if len(entities) != 2:
-                raise ArityError(f"difference takes two entities, got {len(entities)}")
-            stored = _exp.difference_op(entities[0], entities[1], result_name, self.tol)
-        else:  # sym-difference
-            if len(entities) != 2:
-                raise ArityError(f"sym-difference takes two entities, got {len(entities)}")
-            stored = _exp.sym_difference_op(entities[0], entities[1], result_name, self.tol)
+            stored = _exp.difference_op(*entities, result_name, self.tol)
+        elif kind == "sym-difference":
+            stored = _exp.sym_difference_op(*entities, result_name, self.tol)
+        else:  # clone
+            stored = _exp.clone_op(entities[0], index)
         return self._bind(stored, kind, names)
 
     def apply_modifier(self, modifier_name: str, entity_name: str) -> str:

@@ -30,6 +30,7 @@ from .model import (
     TruthDegree,
     _check_name,
     _check_strings,
+    entity_kind,
 )
 from .modifiers import Change, Modifier
 from .network import Network, ProvenanceRecord, Relation
@@ -170,23 +171,7 @@ def _method_from(doc, methods: dict) -> MethodDef:
 
 
 def entity_to_doc(entity) -> dict:
-    if isinstance(entity, FuzzyObject):
-        return {
-            "kind": "object",
-            "name": entity.name,
-            "declared_class": entity.declared_class,
-            "properties": [_property_doc(p) for p in sorted(entity.specification, key=lambda p: p.id)],
-            "methods": [_method_doc(m) for m in sorted(entity.signature, key=lambda m: m.id)],
-        }
-    if isinstance(entity, ClassSpec):
-        return {
-            "kind": "class",
-            "name": entity.name,
-            "mode": entity.mode,
-            "extension": sorted(entity.extension),
-            "properties": [_property_doc(p) for p in sorted(entity.specification, key=lambda p: p.id)],
-            "methods": [_method_doc(m) for m in sorted(entity.signature, key=lambda m: m.id)],
-        }
+    kind = entity_kind(entity)  # TypeError for a non-entity
     if isinstance(entity, HeterogeneousClass):
         return {
             "kind": "heterogeneous-class",
@@ -195,7 +180,18 @@ def entity_to_doc(entity) -> dict:
                 entity_to_doc(p) for p in sorted(entity.projections, key=lambda p: p.name)
             ],
         }
-    raise TypeError(f"not an entity: {entity!r}")
+    doc = {  # the encoder sorts keys, so the order here is free
+        "kind": kind,
+        "name": entity.name,
+        "properties": [_property_doc(p) for p in sorted(entity.specification, key=lambda p: p.id)],
+        "methods": [_method_doc(m) for m in sorted(entity.signature, key=lambda m: m.id)],
+    }
+    if kind == "object":
+        doc["declared_class"] = entity.declared_class
+    else:
+        doc["mode"] = entity.mode
+        doc["extension"] = sorted(entity.extension)
+    return doc
 
 
 def entity_from_doc(doc):

@@ -332,6 +332,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["clone", "Rb1", "--name", "Foo"],
         ["union", "Rb1", "Sq1", "--index", "4"],
+        ["symdiff", "T_Rb"],
     ])
     def test_exploiter_arguments_that_do_not_apply_are_1(self, argv):
         code, out, err = run_cli("apply-exploiter", *argv, "--in", POLYGONS)

@@ -279,6 +279,17 @@ class TestDiagnostics:
         assert [(d.line, d.col) for d in diags] == [(3, 3), (4, 3)]
         assert all("must alter the value" in d.message for d in diags)
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.05])
+    def test_a_change_is_judged_exactly_at_any_tolerance(self, tol):
+        text = 'object O { p1 "P" = 1; }\nmodifier M object O -> O2 {\n  p1: 1 -> %s;\n}\n'
+        net, _ = parse_network(text % "1.0000000001", tol)
+        assert net.modifiers["M"].changes[0].after == CrispNumber(1.0000000001)
+        with pytest.raises(DslError) as info:
+            parse_network(text % "1", tol)
+        first = info.value.diagnostics[0]
+        assert (first.line, first.col) == (3, 3)
+        assert "must alter the value, both sides are 1" in first.message
+
     def test_family_outside_sum_is_refused_at_load(self):
         text = (
             'class T {\n'

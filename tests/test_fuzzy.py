@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from foodn.errors import DegreeOutOfRange, EmptyFuzzySet, EmptyInput, EvaluationError
+from foodn.evaluator import extend
 from foodn.fuzzy import (
     FuzzySet,
-    extend,
     format_fuzzy_set,
     format_number,
     fs_equal,

@@ -108,13 +108,13 @@ class TestValues:
         assert format_value(Fuzzy(FS)) == "{1.8/0.9 + 2/1 + 2.1/0.95} cm"
 
     def test_value_equivalent(self):
-        assert value_equivalent(CrispNumber(1.0, "cm"), CrispNumber(1.0 + 1e-12, "cm"))
-        assert not value_equivalent(CrispNumber(1.0, "cm"), CrispNumber(1.0, "m"))
-        assert not value_equivalent(CrispNumber(1.0), CrispTuple((1.0,)))
-        assert value_equivalent(Interval(0.0, 1.0), Interval(0.0, 1.0))
-        assert not value_equivalent(Interval(0.0, 1.0), Interval(0.0, 1.0, lo_open=False))
-        assert value_equivalent(Fuzzy(FS), Fuzzy(FS))
-        assert value_equivalent(Absent(), Absent())
+        assert value_equivalent(CrispNumber(1.0, "cm"), CrispNumber(1.0 + 1e-12, "cm"), 1e-9)
+        assert not value_equivalent(CrispNumber(1.0, "cm"), CrispNumber(1.0, "m"), 1e-9)
+        assert not value_equivalent(CrispNumber(1.0), CrispTuple((1.0,)), 1e-9)
+        assert value_equivalent(Interval(0.0, 1.0), Interval(0.0, 1.0), 1e-9)
+        assert not value_equivalent(Interval(0.0, 1.0), Interval(0.0, 1.0, lo_open=False), 1e-9)
+        assert value_equivalent(Fuzzy(FS), Fuzzy(FS), 1e-9)
+        assert value_equivalent(Absent(), Absent(), 1e-9)
 
 
 class TestMethods:

@@ -17,6 +17,7 @@ from foodn.errors import (
     UnknownExploiter,
     UnknownModifier,
 )
+from foodn.exploiters import UNIVERSAL_EXPLOITERS
 from foodn.model import (
     Absent,
     CrispNumber,
@@ -331,6 +332,21 @@ class TestExploiterApplication:
             polygons.apply_exploiter("difference", ["T_Pg", "T_Rb", "T_Sq"])
         with pytest.raises(ArityError):
             polygons.apply_exploiter("clone", ["Rb1", "Sq1"])
+
+    @pytest.mark.parametrize("kind,count", [
+        (e.kind, count)
+        for e in UNIVERSAL_EXPLOITERS
+        for count in {"1": (0, 2, 3), "2": (0, 1, 3), "n": (0, 1)}[e.arity]
+    ])
+    def test_every_exploiter_refuses_a_count_its_arity_does_not_take(self, polygons, kind, count):
+        before = dumps(polygons)
+        with pytest.raises(ArityError):
+            polygons.apply_exploiter(kind, ["T_Rb", "T_Sq", "T_Pg"][:count])
+        assert dumps(polygons) == before
+
+    def test_names_resolve_before_the_count_is_checked(self, polygons):
+        with pytest.raises(UnknownEntity):
+            polygons.apply_exploiter("clone", ["Rb1", "Nope"])
 
     def test_arguments_an_exploiter_does_not_take_are_refused(self, polygons):
         before = dumps(polygons)

@@ -20,13 +20,14 @@ from foodn.errors import (
     SemanticMismatch,
     UnknownEndpoint,
 )
+from foodn.evaluator import extend
 from foodn.exploiters import (
     difference_op,
     intersection_op,
     sym_difference_op,
     union_op,
 )
-from foodn.fuzzy import extend, make_fuzzy_set
+from foodn.fuzzy import make_fuzzy_set
 from foodn.model import (
     Absent,
     Binding,
