@@ -70,8 +70,8 @@ from .model import (
     define_class,
     define_object,
     membership_degree,  # no longer called here; perfbench traces this name
-    misfit,
 )
+# check_applicable and transform are no longer called here; perfbench traces both names
 from .modifiers import Change, check_applicable, define_modifier, transform
 from .network import Network
 
@@ -575,15 +575,16 @@ def _add_modifier(net, *args):
 
 
 def _lint(net, diags, name, tok):
-    """Static reflection lint: warn if an object-level modifier's result
-    would not belong to its declared target class."""
+    """Static reflection lint: warn if what applying the modifier would bind
+    does not belong to its target class; silent if it would be refused."""
     mod = net.modifiers.get(name)
-    if mod is None or mod.source not in net.objects or mod.target_class not in net.classes:
+    if mod is None:
         return
-    entity = net.objects[mod.source]
-    if not check_applicable(mod, entity, net.tol)[0]:
+    try:
+        _, reason = net._modified(mod, mod.source)
+    except FoodnError:
         return
-    if misfit(transform(mod, entity), net.classes[mod.target_class], net.tol) is not None:
+    if reason is not None:
         message = (
             f"modifier {mod.name}: the result would not belong to its "
             f"target class {mod.target_class}"

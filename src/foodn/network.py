@@ -3,7 +3,9 @@
 A network is the single mutable structure in the engine.  Entities stay
 immutable; every transformation stores a new entity and appends a
 provenance record.  A modifier deletes its source: only the source's name
-and kind stay, in the history map, behind a modification-of edge.
+and kind stay, in the history map, behind a modification-of edge.  What a
+modifier would bind, and whether that belongs to its target class, is worked
+out once, before anything changes; the .foodn reflection lint asks the same.
 """
 from __future__ import annotations
 
@@ -400,20 +402,14 @@ class Network:
             stored = _exp.clone_op(entities[0], index)
         return self._bind(stored, kind, names)
 
-    def apply_modifier(self, modifier_name: str, entity_name: str) -> str:
-        """Replace the entity with its transformed version.
-
-        All checks happen before any mutation, so a failed application
-        leaves the network exactly as it was.
-        """
-        if modifier_name not in self.modifiers:
-            raise UnknownModifier(f"no modifier named {modifier_name!r}")
-        mod = self.modifiers[modifier_name]
+    def _modified(self, mod: Modifier, entity_name: str):
+        """What applying *mod* to *entity_name* would bind, and why that would
+        not belong to its target class (or None).  Checks all, mutates nothing."""
         entity = self.entity(entity_name)
         ok, reasons = check_applicable(mod, entity, self.tol)
         if not ok:
             raise NotApplicable(
-                f"{modifier_name} does not apply to {entity_name}: " + "; ".join(reasons),
+                f"{mod.name} does not apply to {entity_name}: " + "; ".join(reasons),
                 reasons,
             )
 
@@ -430,17 +426,28 @@ class Network:
             declared = {"declared_class": donor.name} if isinstance(result, FuzzyObject) else {}
             result = replace(result, signature=donor.signature, **declared)
         result = replace(result, name=self._fresh_name(mod.target_name))
+        if not isinstance(result, FuzzyObject) or mod.target_class is None:
+            return result, None
+        return result, misfit(result, self.classes[mod.target_class], self.tol)
+
+    def apply_modifier(self, modifier_name: str, entity_name: str) -> str:
+        """Replace the entity with its transformed version.
+
+        All checks happen before any mutation, so a failed application
+        leaves the network exactly as it was.
+        """
+        if modifier_name not in self.modifiers:
+            raise UnknownModifier(f"no modifier named {modifier_name!r}")
+        mod = self.modifiers[modifier_name]
+        result, reason = self._modified(mod, entity_name)
         # a conflicting degree must fail here, before _bind changes anything
         self._is_new((result.name, entity_name, "modification-of"), 1.0)
         self._bind(result, modifier_name, (entity_name,), mod.changes, retired=entity_name)
-
-        if isinstance(result, FuzzyObject) and mod.target_class is not None:
-            reason = misfit(result, self.classes[mod.target_class], self.tol)
-            if reason is not None:
-                warnings.warn(
-                    f"{modifier_name}: result {result.name} does not belong to its "
-                    f"target class {mod.target_class} ({reason})",
-                    ReflectionWarning,
-                    stacklevel=2,
-                )
+        if reason is not None:
+            warnings.warn(
+                f"{modifier_name}: result {result.name} does not belong to its "
+                f"target class {mod.target_class} ({reason})",
+                ReflectionWarning,
+                stacklevel=2,
+            )
         return result.name

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -9,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DISJOINT, POLYGONS
-from foodn import eval_method
+from foodn import dsl, eval_method
 from foodn.dsl import _tokenize, parse_network
-from foodn.errors import DslError
+from foodn.errors import DslError, ReflectionWarning
 from foodn.model import (
     Absent,
     CrispNumber,
@@ -19,9 +20,13 @@ from foodn.model import (
     Fuzzy,
     FuzzyMarker,
     FuzzyTuple,
+    HeterogeneousClass,
     Interval,
+    Property,
     TruthDegree,
+    define_class,
 )
+from foodn.network import Network
 from foodn.serialize import dumps
 from oracles import oracle_tokenize
 
@@ -470,14 +475,46 @@ class TestWarnings:
         "modifier M object Gone -> O_next target-class Target { p1: 1 -> 2; }",  # no source object
         "modifier M object O -> O_next target-class Gone { p1: 1 -> 2; }",  # no target class
         "modifier M object O -> O_next target-class Target { p1: 3 -> 2; }",  # does not apply
-    ], ids=["unknown source", "unknown target class", "not applicable"])
-    def test_reflection_lint_stays_silent_when_it_cannot_judge(self, modifier):
+        "modifier M object O -> O_next target-class Either { p1: 1 -> 2; }",  # no signature
+    ], ids=["unknown source", "unknown target class", "not applicable", "heterogeneous target class"])
+    def test_reflection_lint_stays_silent_when_it_cannot_judge(self, modifier, monkeypatch):
+        # the text format cannot declare a heterogeneous class, so each network
+        # parsed here starts with one, Either, that O_next would not belong to
+        def seeded(tol):
+            net = Network(tol)
+            net.add(HeterogeneousClass("Either", tuple(
+                define_class(name, [Property("p1", "Kind", CrispNumber(value))])
+                for name, value in (("Five", 5.0), ("Six", 6.0))
+            )))
+            return net
+
+        monkeypatch.setattr(dsl, "Network", seeded)
         text = (
             'class Target { property p1 "Kind" = 5; }\n'
             'object O { p1 "Kind" = 1; }\n' + modifier + "\n"
         )
         net, warnings = parse_network(text)
         assert warnings == [] and "M" in net.modifiers
+
+    @pytest.mark.parametrize("extension, live, warns", [
+        ("Out", "", False),
+        ("O", "", True),
+        ("Out_2", 'object Out { p1 "Kind" = 1; }\n', False),
+    ], ids=["names the result", "names only the source", "names the fresh name"])
+    def test_reflection_lint_agrees_with_apply_modifier(self, extension, live, warns):
+        # an extensional target class judges the result by its name, which
+        # is Out, or Out_2 once an entity named Out is live
+        text = (
+            f"class Ext extensional {{ extension {extension}; }}\n"
+            'object O { p1 "Kind" = 1; }\n' + live
+            + "modifier M object O -> Out target-class Ext { p1: 1 -> 2; }\n"
+        )
+        net, lint = parse_network(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            net.apply_modifier("M", "O")
+        applied = [w for w in caught if w.category is ReflectionWarning]
+        assert (len(lint), len(applied)) == (warns, warns)
 
     def test_fixture_parses_clean(self, polygons):
         # the conftest fixture already asserts zero warnings; spot-check one

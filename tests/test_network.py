@@ -21,6 +21,7 @@ from foodn.exploiters import UNIVERSAL_EXPLOITERS
 from foodn.model import (
     Absent,
     CrispNumber,
+    MethodDef,
     Property,
     TruthDegree,
     compat_degree,
@@ -303,6 +304,32 @@ class TestExploiterApplication:
         assert to_document(polygons) == dict(before, classes=classes, provenance=[record])
         text = dumps(polygons)
         assert dumps(loads(text)) == text
+
+    def test_sym_difference_qualifies_a_property_and_a_method_that_share_an_id(self):
+        net = Network()
+        net.add(define_class("A", [Property("x", "X", CrispNumber(1.0))]))
+        net.add(define_class("B", [], [MethodDef("x", "M", "1")]))
+        stored = net.classes[net.apply_exploiter("sym-difference", ["A", "B"])]
+        assert [p.id for p in stored.specification] == ["x@A"]
+        assert [m.id for m in stored.signature] == ["x@B"]
+
+    @pytest.mark.parametrize("kind, refusal, message", [
+        ("union", ArityError, "must be distinct"),
+        ("intersection", None, None),
+        ("difference", DoesNotExist, "nothing is left"),
+        ("sym-difference", DoesNotExist, "the entities are equivalent"),
+    ])
+    def test_a_repeated_argument(self, polygons, kind, refusal, message):
+        """union refuses it; A ∩ A is A; A ∖ A and A △ A do not exist."""
+        rb = polygons.classes["T_Rb"]
+        if refusal is None:
+            stored = polygons.classes[polygons.apply_exploiter(kind, ["T_Rb", "T_Rb"])]
+            assert (stored.specification, stored.signature) == (rb.specification, rb.signature)
+            return
+        before = dumps(polygons)
+        with pytest.raises(refusal, match=message):
+            polygons.apply_exploiter(kind, ["T_Rb", "T_Rb"])
+        assert dumps(polygons) == before
 
     def test_explicit_result_name(self, polygons):
         name = polygons.apply_exploiter("union", ["Rb1", "Sq1"], result_name="Shapes")

@@ -6,6 +6,7 @@ floor by inspecting the settings attached here.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -89,11 +90,16 @@ METHOD = MethodDef("f1", "Doubled", "2*x", (Binding("x", "p1", "scalar"),))
 
 @st.composite
 def random_class(draw, name):
+    """Properties over a subset of PROP_POOL; now and then the method takes
+    a PROP_POOL id the class leaves unused, so a property of one class and a
+    method of another can share an id."""
     picks = draw(st.lists(st.sampled_from(range(len(PROP_POOL))),
                           min_size=1, max_size=len(PROP_POOL), unique=True))
     props = [Property(PROP_POOL[i][0], PROP_POOL[i][1], draw(class_values))
              for i in sorted(picks)]
-    methods = [METHOD] if draw(st.booleans()) else []
+    unused = [pid for i, (pid, _) in enumerate(PROP_POOL) if i not in picks]
+    method_id = draw(st.sampled_from([METHOD.id] + unused))
+    methods = [replace(METHOD, id=method_id)] if draw(st.booleans()) else []
     return define_class(name, props, methods)
 
 
