@@ -1,9 +1,9 @@
 """The evaluation kernel's one loop.
 
-Runs a compiled body (a function of the tuple of slot values, see
+Runs a compiled body (one generated function of the slot values, see
 ``expr.compile_program``) over every combination of the variables'
-supports, taking the min of the participating degrees per combination and
-the max degree over outputs that coincide within the tolerance.
+supports, with only C builtins around it, taking the min of the degrees per
+combination and the max over outputs that coincide within the tolerance.
 ``evaluator.extend`` runs on the same loop.
 """
 from __future__ import annotations
@@ -33,12 +33,13 @@ def eval_program(program, supports, degrees, tol):
     # a body without variables is one crisp value at degree 1
     mins = map(min, product(*degrees)) if degrees else (1.0,)
     try:
-        pairs = [(program(xs), d) for xs, d in zip(product(*supports), mins)]
+        values = list(map(program, product(*supports)))
     except ZeroDivisionError as exc:
         raise EvaluationError("division by zero at a support combination") from exc
     except (ArithmeticError, ValueError) as exc:
         raise EvaluationError(f"evaluation failed at a support combination: {exc}") from exc
-    if not all(math.isfinite(value) for value, _ in pairs):
+    if not all(map(math.isfinite, values)):
         raise EvaluationError("non-finite result at a support combination")
-    merged = merge_pairs(pairs, tol)
-    return [s for s, _ in merged], [d for _, d in merged]
+    merged = merge_pairs(zip(values, mins), tol)
+    values, degrees = zip(*merged) if merged else ((), ())
+    return list(values), list(degrees)

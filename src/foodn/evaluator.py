@@ -1,10 +1,11 @@
 """Method evaluation over fuzzy-valued properties, and the extension of a
 crisp function to fuzzy arguments; both enter the kernel through one step.
 
-A MethodDef carries its body compiled, when it is built, to a Python
-function of one slot per binding; the evaluator resolves the bindings and
-runs that function.  Each slot carries the supports and degrees of its
-value (crisp values are one-point supports at degree 1).  The kernel
+A MethodDef carries its body compiled, when it is built, to one generated
+Python function of one slot per binding (``expr.compile_program``); the
+evaluator resolves the bindings and runs that function.  Each slot carries
+the supports and degrees of its value (crisp values are one-point supports
+at degree 1).  The kernel
 enumerates all support combinations, so a variable bound once names one
 quantity no matter how often the body mentions it.
 
@@ -49,14 +50,8 @@ def resolve_binding(entity, binding: Binding):
             f"{entity.name}: no property {binding.prop!r} for variable {binding.var!r}"
         )
     value = prop.value
-
-    def components():
-        if isinstance(value, (CrispTuple, FuzzyTuple)):
-            return list(value.values)
-        return None
-
+    parts = value.values if isinstance(value, (CrispTuple, FuzzyTuple)) else None
     if binding.accessor == "count":
-        parts = components()
         return float(len(parts)) if parts is not None else 1.0
     if binding.accessor == "scalar":
         if isinstance(value, (CrispNumber, TruthDegree, Fuzzy)):
@@ -65,7 +60,6 @@ def resolve_binding(entity, binding: Binding):
             f"{entity.name}.{binding.prop} is not a scalar; bind a component or use [*]"
         )
     if binding.accessor == "component":
-        parts = components()
         if parts is None:
             raise UnresolvedBinding(f"{entity.name}.{binding.prop} has no components")
         if binding.index > len(parts):
@@ -75,9 +69,8 @@ def resolve_binding(entity, binding: Binding):
             )
         return parts[binding.index - 1]
     # "all": an indexed family; scalars act as a one-member family
-    parts = components()
     if parts is not None:
-        return parts
+        return list(parts)
     if isinstance(value, (CrispNumber, Fuzzy)):
         return [value.value]
     raise UnresolvedBinding(f"{entity.name}.{binding.prop} cannot form an indexed family")
@@ -85,9 +78,7 @@ def resolve_binding(entity, binding: Binding):
 
 def _column(value):
     """Supports and degrees of one value; a crisp value is one point at degree 1."""
-    if isinstance(value, FuzzySet):
-        return value.supports(), value.degrees()
-    return [float(value)], [1.0]
+    return zip(*value.elements) if isinstance(value, FuzzySet) else ([float(value)], [1.0])
 
 
 def _fold_sum(parts, tol: float):
@@ -102,20 +93,19 @@ def _fold_sum(parts, tol: float):
 def _extend(program, inputs, tol: float, unit: str | None = None):
     """Run *program* with a slot per input (a list is its sum); a float if all are crisp."""
     tol = check_tolerance(tol)
-    supports = []
-    degrees = []
-    any_fuzzy = False
+    supports, degrees, any_fuzzy = [], [], False
     for value in inputs:
-        parts = value if isinstance(value, list) else [value]
-        any_fuzzy = any_fuzzy or any(isinstance(p, FuzzySet) for p in parts)
-        s, d = _fold_sum(parts, tol)
+        if isinstance(value, list):
+            any_fuzzy = any_fuzzy or any(isinstance(p, FuzzySet) for p in value)
+            s, d = _fold_sum(value, tol)
+        else:
+            any_fuzzy = any_fuzzy or isinstance(value, FuzzySet)
+            s, d = _column(value)
         supports.append(s)
         degrees.append(d)
 
     values, degs = _kernel.eval_program(program, supports, degrees, tol)
-    if not any_fuzzy:
-        return values[0]
-    return FuzzySet(tuple(zip(values, degs)), unit)
+    return FuzzySet(tuple(zip(values, degs)), unit) if any_fuzzy else values[0]
 
 
 def evaluate_method(entity, method: MethodDef, tol: float = DEFAULT_TOL):

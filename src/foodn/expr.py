@@ -1,4 +1,4 @@
-"""Method-body expressions: AST, parser, and closure compiler.
+"""Method-body expressions: AST, parser, and compiler to Python functions.
 
 Grammar (no implicit multiplication):
 
@@ -17,8 +17,8 @@ slot, so the compiled body reads ``sum(v)`` as that slot.
 """
 from __future__ import annotations
 
+import functools
 import math
-import operator
 import re
 from collections.abc import Callable, Collection
 from dataclasses import dataclass
@@ -233,12 +233,12 @@ def _sqrt(x: float) -> float:
         raise EvaluationError(f"sqrt failed at a support combination: {exc}") from exc
 
 
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": _pow}
 _CALLS = {
     "sin": lambda x: math.sin(x * _DEG),  # angles in degrees
     "cos": lambda x: math.cos(x * _DEG),
     "sqrt": _sqrt,
 }
+_compile = functools.lru_cache(maxsize=512)(compile)  # one code object per body shape
 
 
 def compile_program(
@@ -248,28 +248,30 @@ def compile_program(
 
     Every Var and sum() variable must have a slot; a variable in *families*
     (bound with [*]) read outside sum() raises UnresolvedBinding.  The
-    function is a tree of closures, one per node.  A zero divisor raises
-    ZeroDivisionError and sin/cos of an infinite value raise ValueError;
-    the kernel reports both as EvaluationError.
+    function is one generated ``lambda xs: ...``, the tree written as
+    parenthesised Python with constants bound by name in its globals, so it
+    computes what a walk over the tree would, in the same order.  A zero
+    divisor raises ZeroDivisionError and sin/cos of an infinite value raise
+    ValueError; the kernel reports both as EvaluationError.
     """
+    scope = {"_pow": _pow, **_CALLS}
 
-    def build(node: Expr):
+    def source(node: Expr) -> str:
         if isinstance(node, Num):
-            value = float(node.value)
-            return lambda xs: value
+            name = f"k{len(scope)}"
+            scope[name] = float(node.value)
+            return name
         if isinstance(node, Var) and node.name in families:
             raise UnresolvedBinding(f"family variable {node.name!r} can only appear inside sum()")
         if isinstance(node, (Var, Sum)):
-            return operator.itemgetter(var_slots[node.name if isinstance(node, Var) else node.var])
+            return f"xs[{var_slots[node.name if isinstance(node, Var) else node.var]}]"
         if isinstance(node, Neg):
-            operand = build(node.operand)
-            return lambda xs: -operand(xs)
+            return f"(-{source(node.operand)})"
         if isinstance(node, Bin):
-            op, left, right = _BINARY[node.op], build(node.left), build(node.right)
-            return lambda xs: op(left(xs), right(xs))
+            left, right = source(node.left), source(node.right)
+            return f"_pow({left}, {right})" if node.op == "^" else f"({left} {node.op} {right})"
         if isinstance(node, Call):
-            func, arg = _CALLS[node.func], build(node.arg)
-            return lambda xs: func(arg(xs))
+            return f"{node.func}({source(node.arg)})"
         raise TypeError(f"not an expression node: {node!r}")
 
-    return build(expr)
+    return eval(_compile(f"lambda xs: {source(expr)}", "<method body>", "eval"), scope)

@@ -47,6 +47,13 @@ def check_degree(value: float, what: str = "degree") -> float:
     return v
 
 
+def as_float(x) -> float:
+    """An int or a float as a float; anything else raises TypeError."""
+    if type(x) is float or type(x) is int:  # not bool, a subclass of int
+        return float(x)
+    raise TypeError(f"expected a number, got {x!r}")
+
+
 def check_tolerance(tol: float) -> float:
     """A comparison tolerance must be a finite number >= 0; raises ValueError."""
     t = float(tol)
@@ -68,16 +75,18 @@ def merge_pairs(pairs, tol: float):
 
     Sorts by support, folds together supports that agree within *tol*
     (keeping the max degree and the smallest support of each run), and drops
-    zero-degree elements.  Returns a tuple in canonical order.
+    zero-degree elements.  Returns a tuple of float pairs in canonical order.
     """
-    merged: list[tuple[float, float]] = []
-    for support, degree in sorted(pairs):
-        if merged and support - merged[-1][0] <= tol:
-            prev_s, prev_d = merged[-1]
-            merged[-1] = (prev_s, max(prev_d, degree))
+    merged, first = [], -math.inf  # first: the first support of the current run
+    # sorted, a dict keeps the first of equal supports and the last (max) degree
+    for pair in dict(sorted(pairs)).items():
+        if pair[0] - first <= tol:
+            if pair[1] > merged[-1][1]:
+                merged[-1] = (first, pair[1])
         else:
-            merged.append((float(support), float(degree)))
-    return tuple((s, d) for s, d in merged if d > 0.0)
+            first = pair[0]
+            merged.append(pair)
+    return tuple([(float(s), float(d)) for s, d in merged if d > 0.0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,22 +103,26 @@ class FuzzySet:
     def __post_init__(self):
         if not self.elements:
             raise EmptyFuzzySet("a fuzzy set needs at least one element")
-        prev = None
+        prev, exact = -math.inf, True
         for support, degree in self.elements:
-            if not math.isfinite(support):
-                raise EvaluationError(f"support {support!r} is not finite")
-            check_degree(degree)
-            if degree == 0.0:
-                raise DegreeOutOfRange("canonical elements carry degree in (0, 1]")
-            if prev is not None and support <= prev:
+            if type(support) is not float or type(degree) is not float:
+                support, degree, exact = as_float(support), as_float(degree), False
+            if not (prev < support < math.inf and 0.0 < degree <= 1.0):
+                if not math.isfinite(support):
+                    raise EvaluationError(f"support {support!r} is not finite")
+                check_degree(degree)
+                if degree == 0.0:
+                    raise DegreeOutOfRange("canonical elements carry degree in (0, 1]")
                 raise EvaluationError("supports must be strictly increasing")
             prev = support
+        if not exact:  # a document would write back 1 and read 1.0
+            object.__setattr__(self, "elements", tuple((float(s), float(d)) for s, d in self.elements))
 
     def supports(self) -> tuple[float, ...]:
-        return tuple(s for s, _ in self.elements)
+        return tuple(zip(*self.elements))[0]
 
     def degrees(self) -> tuple[float, ...]:
-        return tuple(d for _, d in self.elements)
+        return tuple(zip(*self.elements))[1]
 
     def __str__(self) -> str:
         return format_fuzzy_set(self)

@@ -12,7 +12,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 from ._gc import collector_paused
 from .errors import CorruptDocument, FoodnError, SchemaVersionMismatch
-from .fuzzy import DEFAULT_TOL, FuzzySet, format_number
+from .fuzzy import DEFAULT_TOL, FuzzySet, as_float, format_number
 from .model import (
     Absent,
     Binding,
@@ -46,19 +46,13 @@ def _fs_doc(fs: FuzzySet) -> dict:
 
 
 def _fs_from(doc) -> FuzzySet:
-    elements = tuple((_number(s), _number(d)) for s, d in doc["elements"])
-    return FuzzySet(elements, _unit(doc["unit"]))
+    # FuzzySet itself refuses what is not an int or a float
+    return FuzzySet(tuple((s, d) for s, d in doc["elements"]), _unit(doc["unit"]))
 
 
 # A document's numbers, units and flags are checked as they are read: float()
 # alone would take "4" and true, and a unit of [] or {} would load and fail
 # later, where it is hashed or sorted.
-
-
-def _number(x) -> float:
-    if type(x) is float or type(x) is int:  # not bool, a subclass of int
-        return float(x)
-    raise ValueError(f"expected a number, got {x!r}")
 
 
 def _unit(unit):
@@ -117,14 +111,14 @@ def value_from_doc(doc):
 def _value_from(doc):
     kind = doc["kind"]
     if kind == "number":
-        return CrispNumber(_number(doc["value"]), _unit(doc["unit"]))
+        return CrispNumber(as_float(doc["value"]), _unit(doc["unit"]))
     if kind == "tuple":
-        return CrispTuple(tuple(map(_number, doc["values"])), _unit(doc["unit"]))
+        return CrispTuple(tuple(map(as_float, doc["values"])), _unit(doc["unit"]))
     if kind == "interval":
-        lo, hi = _number(doc["lo"]), _number(doc["hi"])
+        lo, hi = as_float(doc["lo"]), as_float(doc["hi"])
         return Interval(lo, hi, _unit(doc["unit"]), _flag(doc["lo_open"]), _flag(doc["hi_open"]))
     if kind == "truth":
-        return TruthDegree(_number(doc["value"]))
+        return TruthDegree(as_float(doc["value"]))
     if kind == "fuzzy-marker":
         return FuzzyMarker()
     if kind == "absent":
@@ -306,7 +300,7 @@ def _network_from(doc, tol: float) -> Network:
     for edoc in doc["objects"]:
         net.add(_entity_from(edoc, methods))
     for rdoc in doc["relations"]:
-        net.add_relation(rdoc["source"], rdoc["target"], rdoc["kind"], _number(rdoc["degree"]))
+        net.add_relation(rdoc["source"], rdoc["target"], rdoc["kind"], as_float(rdoc["degree"]))
     for mdoc in doc["modifiers"]:
         net.register_modifier(
             Modifier(

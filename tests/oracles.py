@@ -7,10 +7,15 @@ The one exception is oracle_infer, which checks which pairs the network
 scores, not how it scores them, and so takes membership_degree as given.
 oracle_tokenize is the .foodn tokenizer written as a loop over single
 characters, against which the pattern-driven one in foodn.dsl is checked.
+oracle_compile (a tree of closures over the engine's own AST and functions)
+and oracle_merge (one loop over the sorted pairs) are earlier forms of
+foodn.expr.compile_program and foodn.fuzzy.merge_pairs, against which the
+generated bodies and the faster merge are checked bit for bit.
 """
 from __future__ import annotations
 
 import math
+import operator
 import re
 
 
@@ -99,6 +104,50 @@ def oracle_body(tree, names):
         return out
 
     return f
+
+
+def oracle_compile(expr, var_slots, families=frozenset()):
+    """compile_program as a tree of closures, one per node of the engine's
+    AST, with the engine's own "^" and calls."""
+    from foodn.errors import UnresolvedBinding
+    from foodn.expr import _CALLS, Bin, Call, Neg, Num, Sum, Var, _pow
+
+    binary = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv, "^": _pow}
+
+    def build(node):
+        if isinstance(node, Num):
+            value = float(node.value)
+            return lambda xs: value
+        if isinstance(node, Var) and node.name in families:
+            raise UnresolvedBinding(f"family variable {node.name!r} can only appear inside sum()")
+        if isinstance(node, (Var, Sum)):
+            return operator.itemgetter(var_slots[node.name if isinstance(node, Var) else node.var])
+        if isinstance(node, Neg):
+            operand = build(node.operand)
+            return lambda xs: -operand(xs)
+        if isinstance(node, Bin):
+            op, left, right = binary[node.op], build(node.left), build(node.right)
+            return lambda xs: op(left(xs), right(xs))
+        if isinstance(node, Call):
+            func, arg = _CALLS[node.func], build(node.arg)
+            return lambda xs: func(arg(xs))
+        raise TypeError(f"not an expression node: {node!r}")
+
+    return build(expr)
+
+
+def oracle_merge(pairs, tol):
+    """merge_pairs as one loop over the sorted pairs: a support within *tol*
+    of its run's first support joins the run at the max degree."""
+    merged = []
+    for support, degree in sorted(pairs):
+        if merged and support - merged[-1][0] <= tol:
+            prev_s, prev_d = merged[-1]
+            merged[-1] = (prev_s, max(prev_d, degree))
+        else:
+            merged.append((float(support), float(degree)))
+    return tuple((s, float(d)) for s, d in merged if d > 0.0)
 
 
 def oracle_insert(relations, relation):

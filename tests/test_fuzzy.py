@@ -18,7 +18,7 @@ from foodn.fuzzy import (
     parse_fuzzy_set,
 )
 
-from oracles import oracle_extend
+from oracles import oracle_extend, oracle_merge
 
 
 class TestConstruction:
@@ -54,6 +54,18 @@ class TestConstruction:
             FuzzySet(((1.0, 0.0),))
         with pytest.raises(EvaluationError):
             FuzzySet(((math.inf, 0.5),))
+
+    def test_elements_are_floats(self):
+        # an int degree that wins a merge, and ints handed to FuzzySet directly
+        for fs in (make_fuzzy_set([(1.0, 1), (1.0, 0.5)]), FuzzySet(((1, 1), (2, 0.5)))):
+            assert [type(x) for pair in fs.elements for x in pair] == [float] * 2 * len(fs.elements)
+
+    @pytest.mark.parametrize("elements", [((1.0, True),), ((False, 0.5),), ((1.0, "0.5"),),
+                                          (("1", 0.5),), ((1.0, None),)])
+    def test_elements_that_are_not_numbers_are_refused(self, elements):
+        # True would be written to a document as true, and "0.5" cannot be formatted
+        with pytest.raises(TypeError, match="expected a number"):
+            FuzzySet(elements)
 
     def test_unit_is_kept(self):
         assert make_fuzzy_set([(1, 1)], "cm").unit == "cm"
@@ -157,6 +169,34 @@ class TestText:
         assert format_number(0.95) == "0.95"
         assert format_number(-3.0) == "-3"
         assert [format_number(x) for x in (math.inf, -math.inf, math.nan)] == ["inf", "-inf", "nan"]
+
+
+def test_merge_pairs_returns_float_degrees():
+    assert merge_pairs([(1.0, 1), (1.0, 0.5)], 0.0) == ((1.0, 1.0),)
+    assert type(merge_pairs([(1.0, 1), (1.0, 0.5)], 0.0)[0][1]) is float
+
+
+SUPPORTS = [0.0, -0.0, 1.0, 1.0 + 1e-12, 1.0 + 2e-9, 1.04, 1.1, 0.1 + 0.2, 0.3, -2.5, 7.0]
+DEGREES = [0.0, 0.0, 0.25, 0.5, 0.9, 1.0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from(SUPPORTS), st.integers(-60, 60).map(lambda n: n / 20)),
+            st.one_of(st.sampled_from(DEGREES), st.integers(0, 1000).map(lambda n: n / 1000)),
+        ),
+        max_size=30,
+    ),
+    tol=st.sampled_from([0.0, 1e-9, 0.05, 1.0]),
+)
+def test_merge_pairs_matches_the_pair_loop_bit_for_bit(pairs, tol):
+    """Exact duplicates, both zeros and zero degrees, against one loop over
+    the sorted pairs, compared by float.hex so that -0.0 counts."""
+    pairs = pairs + pairs[: len(pairs) // 2]  # every other pair at least twice
+    hexed = lambda merged: [(s.hex(), d.hex()) for s, d in merged]  # noqa: E731
+    assert hexed(merge_pairs(pairs, tol)) == hexed(oracle_merge(pairs, tol))
 
 
 def test_merge_pairs_groups_by_run_representative():

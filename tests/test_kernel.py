@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foodn.errors import EvaluationError
-from foodn.expr import compile_program, parse_expr
+from foodn.expr import MAX_DEPTH, compile_program, parse_expr
 from foodn.kernel import eval_program
-from oracles import oracle_body, oracle_extend
+from oracles import oracle_body, oracle_compile, oracle_extend
 
 
 def program_for(text, names):
@@ -185,3 +185,63 @@ class TestRandomBodies:
         for got, degree, (want, want_degree) in zip(values, degs, expected):
             assert abs(got - want) <= 1e-9
             assert degree == want_degree
+
+
+def outcome(program, xs):
+    """A program's value as float.hex, or the type and message it raises."""
+    try:
+        return program(xs).hex()
+    except Exception as exc:  # noqa: BLE001 - the exception is what is compared
+        return type(exc), str(exc)
+
+
+def both(text, names=NAMES):
+    ast, slots = parse_expr(text), {name: i for i, name in enumerate(names)}
+    return compile_program(ast, slots), oracle_compile(ast, slots)
+
+
+slot_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, -3.0, 90.0, 1e308, -1e308, 5e-324, math.inf]),
+    st.floats(allow_nan=False),
+)
+
+
+class TestGeneratedBodies:
+    """The generated function of a body against the tree of closures it
+    replaced: the same bits, or the same exception with the same message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(tree=body_trees(5), xs=st.tuples(slot_values, slot_values, slot_values))
+    def test_generated_matches_closures(self, tree, xs):
+        program, oracle = both(render(tree))
+        assert outcome(program, xs) == outcome(oracle, xs)
+
+    @pytest.mark.parametrize("text", [
+        "-" * MAX_DEPTH + "a",
+        "a-(" * (MAX_DEPTH - 1) + "b" + ")" * (MAX_DEPTH - 1),
+        "a^" * MAX_DEPTH + "c",
+        "sqrt(" * (MAX_DEPTH - 1) + "sin(a)" + ")" * (MAX_DEPTH - 1),
+    ], ids=["negation", "difference", "power", "call"])
+    def test_bodies_at_the_depth_limit(self, text):
+        program, oracle = both(text)
+        for xs in [(0.5, 2.0, 1.0), (-0.0, 0.0, -1.0), (3.0, 1e308, 0.5)]:
+            assert outcome(program, xs) == outcome(oracle, xs)
+
+    @pytest.mark.parametrize("text, xs", [
+        ("-0", ()),
+        ("-0*a", (1.0,)),
+        ("a-0", (-0.0,)),
+        ("-a", (0.0,)),
+        ("0*-a", (1.0,)),
+        ("a*0", (-1.0,)),
+    ])
+    def test_signed_zeros(self, text, xs):
+        program, oracle = both(text, ("a",))
+        assert outcome(program, xs) == outcome(oracle, xs)
+
+    def test_an_overflowed_constant_is_a_value(self):
+        # 1e999 reads as inf: the kernel refuses the result, the body runs
+        program = program_for("1e999*a", ("a",))
+        assert program((2.0,)) == math.inf
+        with pytest.raises(EvaluationError, match="non-finite result"):
+            run(program, [[(2.0, 1.0)]])

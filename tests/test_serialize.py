@@ -406,6 +406,16 @@ class TestNetworkDocs:
         assert type(relation.degree) is float
         assert '"degree": 1.0' in dumps(polygons)
 
+    @pytest.mark.parametrize("build", [
+        lambda: make_fuzzy_set([(1.0, 1), (1.0, 0.5)]),  # the int degree wins the merge
+        lambda: FuzzySet(((1, 1), (2, 0.5))),
+    ], ids=["merged", "direct"])
+    def test_int_elements_keep_the_fixpoint(self, build):
+        net = Network()
+        net.add(define_object("O", [Property("p1", "A", Fuzzy(build()))]))
+        text = dumps(net)
+        assert dumps(loads(text)) == text
+
     def test_family_outside_sum_is_corrupt(self, polygons):
         doc = to_document(polygons)
         [t_pg] = [c for c in doc["classes"] if c["name"] == "T_Pg"]
