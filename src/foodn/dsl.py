@@ -35,6 +35,11 @@ takes its minus sign (`1-2` is 1 and -2).  In a "string", a backslash keeps
 the next character, and the string ends on its line.  `//` comments to the
 end of the line, and `->` is one token.  Only a line feed starts a line.
 
+One `findall` makes the tokens plain strings, '' last for the end of the
+text; a string keeps its quotes.  Bad characters are sought among the
+distinct tokens, and the stream stops at the leftmost.  A diagnostic finds
+its line and column from a table of token offsets built for the first one.
+
 Statements may come in any order.  Each parsed statement queues the step
 that builds it; the steps run classes first, then objects, relations and
 modifiers, then the reflection lint, and a statement the network refuses
@@ -49,7 +54,6 @@ import math
 import re
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import NamedTuple
 
 from ._gc import collector_paused
 from .errors import DslError, FoodnError
@@ -87,37 +91,31 @@ class ParseDiagnostic:
         return f"{self.line}:{self.col}: {self.severity}: {self.message}"
 
 
-class Token(NamedTuple):
-    kind: str  # ident, number, string, punct, eof
-    value: object
-    line: int
-    col: int
-
-
 class _Bail(Exception):
     """Internal: abandon the current statement after recording an error."""
 
 
 _STATEMENTS = ("class", "object", "relation", "modifier")  # parsed by _Parser.<keyword>_def
+_MARKERS = {"fuzzy": FuzzyMarker, "absent": Absent}  # the class-side values after ':'
 
-# One token per match, with the blanks before it.  Comments go before
-# punctuation ("//" is not two slashes), and a line break is its own group so
-# that only "\n" starts a line.  Whatever no other group takes is bad: a lone
-# '"' opens a string that does not end on its line.
-_TOKEN = re.compile(r"""[^\S\n]*(?:
-    (?P<newline>\n)
-  | (?P<comment>//[^\n]*)
-  | (?P<ident>[^\W\d]\w*(?:-[^\W\d_]\w*)*)
-  | (?P<punct>->|[{}()\[\],;:=/+*^])
-  | (?P<number>-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)
-  | (?P<string>"[^"\\\n]*(?:\\.[^"\\\n]*)*")
-  | (?P<bad>\S)
+# One token per match, after the blanks and comments before it.  Comments are
+# skipped before punctuation is tried ("//" is not two slashes).  A lone \S is
+# a character that starts no token (a lone '"' opens a string that does not
+# end on its line), and \Z makes the last match the empty string: the end of
+# the text, which also keeps a trailing comment from being matched again.
+_TOKEN = re.compile(r"""(?:\s|//[^\n]*)*(
+    [^\W\d]\w*(?:-[^\W\d_]\w*)*
+  | ->|[{}()\[\],;:=/+*^]
+  | -?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?
+  | "[^"\\\n]*(?:\\.[^"\\\n]*)*"
+  | \S
+  | \Z
 )""", re.VERBOSE)
 _ESCAPE = re.compile(r"\\(.)")
 
 
 def _numeral_cut(word: str):
-    """The ident group also admits numerals that str.isalpha refuses, such as
+    """The identifier alternative admits numerals that str.isalpha refuses, such as
     '²' and '½'.  One may not start an identifier or follow its hyphen: return
     0 if *word* starts with one, the offset of the hyphen before one, else None."""
     if not (word[0].isalpha() or word[0] == "_"):
@@ -131,405 +129,428 @@ def _numeral_cut(word: str):
 
 
 def _tokenize(text: str):
-    tokens, diags = [], []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "newline":
-            line += 1
-            line_start = m.end()
-            continue
-        value = m[kind]
-        col = m.start(kind) - line_start + 1
-        if kind == "number":
-            value = float(value)
-        elif kind == "ident" and not value.isascii():  # such numerals are not ASCII
-            cut = _numeral_cut(value)
-            if cut:
-                tokens.append(Token(kind, value[:cut], line, col))
+    """Split *text* into token strings, the last '' for the end of the text.
+    Returns (tokens, bad): *bad* is None, or (message, index, shift) when the
+    character *shift* into the token at *index* of the whole text's stream
+    starts no token, and the stream then ends just before that character."""
+    tokens = _TOKEN.findall(text)
+    if tokens[-2:] == ["", ""]:  # blanks before the end match, then the end again
+        tokens.pop()
+    bad = {}  # offending token -> offset of its bad character
+    for tok in set(tokens):
+        if len(tok) == 1 and not (tok.isalnum() or tok in "_{}()[],;:=/+*^"):  # starts no token
+            bad[tok] = 0
+        elif not tok.isascii() and (tok[0].isalnum() or tok[0] == "_") and not tok[0].isdecimal():
+            cut = _numeral_cut(tok)  # an identifier: the numerals it looks for are not ASCII
             if cut is not None:
-                kind, value, col = "bad", value[cut], col + cut
-        elif kind == "string":
-            value = _ESCAPE.sub(r"\1", value[1:-1]) if "\\" in value else value[1:-1]
-        elif kind == "comment":
-            continue
-        if kind == "bad":
-            message = "unterminated string" if value == '"' else f"unexpected character {value!r}"
-            diags.append(ParseDiagnostic("error", message, line, col))
-            tokens.append(Token("eof", None, line, col))
-            return tokens, diags
-        tokens.append(Token(kind, value, line, col))
-    tokens.append(Token("eof", None, line, len(text) - line_start + 1))
-    return tokens, diags
+                bad[tok] = cut
+    if not bad:
+        return tokens, None
+    index = min(map(tokens.index, bad))  # the leftmost, whatever the order of the set
+    tok = tokens[index]
+    shift = bad[tok]
+    message = "unterminated string" if tok == '"' else f"unexpected character {tok[shift]!r}"
+    return tokens[:index] + [tok[:shift]] * (shift > 0) + [""], (message, index, shift)
+
+
+def _kind(tok: str) -> str:
+    """The kind of a token _tokenize returned: ident, number, string, punct or eof."""
+    c = tok[:1]
+    if c.isalpha() or c == "_":
+        return "ident"
+    if c.isdecimal() or c == "." or (c == "-" and tok != "->"):
+        return "number"
+    return "string" if c == '"' else "punct" if c else "eof"
+
+
+def _unquote(tok: str) -> str:
+    """The text of a string token: a backslash keeps the next character."""
+    return _ESCAPE.sub(r"\1", tok[1:-1]) if "\\" in tok else tok[1:-1]
+
+
+def _value(tok: str):
+    """What a token stands for: a float, the text of a string, None at the end."""
+    kind = _kind(tok)
+    return float(tok) if kind == "number" else _unquote(tok) if kind == "string" else tok or None
+
+
+def _locator(text: str, tokens: list, bad):
+    """A function from a token's index in _tokenize's (tokens, bad) to its (line, col)."""
+    starts = [m.start(1) for m in _TOKEN.finditer(text)]
+    if bad is not None:  # the stream ends at the bad character
+        starts[len(tokens) - 1] = starts[bad[1]] + bad[2]
+    return lambda i: (text.count("\n", 0, starts[i]) + 1, starts[i] - text.rfind("\n", 0, starts[i]))
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens, self.diags = _tokenize(text)
-        self.cut = bool(self.diags)  # the tokenizer stopped at a bad character and said so
-        self.i = 0
-        self.steps = []  # (phase, first token, function, args): function(net, *args)
+        self.text = text
+        self.tokens, self.bad = _tokenize(text)
+        self.kinds = {tok: _kind(tok) for tok in set(self.tokens)}
+        self.where = None  # built by report() when first needed
+        self.diags = []
+        if self.bad:  # the tokenizer stopped at a bad character
+            self.report(self.bad[0], len(self.tokens) - 1)
+        self.i = self.start = 0  # the next token, and the first of the current statement
+
+    def report(self, message: str, i: int, severity: str = "error"):
+        if self.where is None:
+            self.where = _locator(self.text, self.tokens, self.bad)
+        self.diags.append(ParseDiagnostic(severity, message, *self.where(i)))
 
     # -- token plumbing ---------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def take(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "eof":
+    def accept(self, want: str) -> bool:
+        """Take the next token if it is *want*, and say whether it did."""
+        if self.tokens[self.i] == want:
             self.i += 1
-        return tok
-
-    def at(self, kind: str, value=None) -> bool:
-        tok = self.peek()
-        return tok.kind == kind and (value is None or tok.value == value)
-
-    def accept(self, kind: str, value=None) -> bool:
-        """Take the next token if it matches, and say whether it did."""
-        if self.at(kind, value):
-            self.take()
             return True
         return False
 
-    def error(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
-        if not (self.cut and tok.kind == "eof"):  # no second diagnostic where the text was cut
-            self.diags.append(ParseDiagnostic("error", message, tok.line, tok.col))
+    def error(self, message: str, i: int | None = None):
+        i = self.i if i is None else i
+        if not (self.bad and not self.tokens[i]):  # no second diagnostic where the text was cut
+            self.report(message, i)
         raise _Bail()
 
-    def expect(self, kind: str, value=None, what: str | None = None) -> Token:
-        if self.at(kind, value):
-            return self.take()
-        tok = self.peek()
-        want = what or (value if value is not None else kind)
-        got = "end of file" if tok.kind == "eof" else repr(tok.value)
-        self.error(f"expected {want}, got {got}", tok)
+    def expect(self, want: str, what: str | None = None):
+        if self.tokens[self.i] == want:
+            self.i += 1
+        else:
+            self.unexpected(what or want)
+
+    def unexpected(self, what: str):
+        tok = self.tokens[self.i]
+        self.error(f"expected {what}, got {repr(_value(tok)) if tok else 'end of file'}")
+
+    def take(self, kind: str, what: str) -> str:
+        """Take the next token, which must be of *kind*; *what* names it if not."""
+        tok = self.tokens[self.i]
+        if self.kinds[tok] != kind:
+            self.unexpected(what)
+        self.i += 1
+        return tok
 
     def ident(self, what: str) -> str:
-        return self.expect("ident", what=what).value
+        return self.take("ident", what)
 
     def number(self, what: str = "a number") -> float:
-        tok = self.expect("number", what=what)
-        if not math.isfinite(tok.value):
-            self.error(f"number out of range: the literal overflows to {tok.value!r}", tok)
-        return tok.value
+        value = float(self.take("number", what))
+        if not math.isfinite(value):
+            self.error(f"number out of range: the literal overflows to {value!r}", self.i - 1)
+        return value
 
     def integer(self, what: str = "an integer") -> int:
-        tok = self.peek()
+        start = self.i
         value = self.number(what)
         if value != int(value):
-            self.error(f"expected {what}, got {value!r}", tok)
+            self.error(f"expected {what}, got {value!r}", start)
         return int(value)
 
     def sync_item(self, depth: int = 0):
         """Skip to just past the next ';' outside braces (or stop before
         '}' / eof); *depth* counts the '{' the item has left open."""
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                return
-            if tok.kind == "punct":
-                if tok.value == "{":
-                    depth += 1
-                elif tok.value == "}":
-                    if depth == 0:
-                        return
-                    depth -= 1
-                elif tok.value == ";" and depth == 0:
-                    self.take()
+        tokens = self.tokens
+        while tokens[self.i]:
+            tok = tokens[self.i]
+            if tok == "}":
+                if depth == 0:
                     return
-            self.take()
+                depth -= 1
+            self.i += 1
+            if tok == "{":
+                depth += 1
+            elif tok == ";" and depth == 0:
+                return
 
     def members(self, member):
         """Parse '{ member* }', calling *member* once per member.  A member
         that fails is reported at its first token, and parsing resumes after
         it, whether or not it got as far as its ';'."""
-        self.expect("punct", "{")
-        while not self.at("punct", "}") and not self.at("eof"):
+        tokens = self.tokens
+        self.expect("{")
+        while tokens[self.i] != "}" and tokens[self.i]:
             start = self.i
             try:
                 member()
             except (_Bail, FoodnError, ValueError) as exc:
                 if not isinstance(exc, _Bail):  # a model constructor refused the member
-                    tok = self.tokens[start]
-                    self.diags.append(ParseDiagnostic("error", str(exc), tok.line, tok.col))
-                if self.i == start or self.tokens[self.i - 1][:2] != ("punct", ";"):
-                    braces = [t.value for t in self.tokens[start:self.i] if t.kind == "punct"]
-                    self.sync_item(braces.count("{") - braces.count("}"))
-        self.expect("punct", "}")
+                    self.report(str(exc), start)
+                if self.i == start or tokens[self.i - 1] != ";":
+                    span = tokens[start:self.i]
+                    self.sync_item(span.count("{") - span.count("}"))
+        self.expect("}")
 
     def sync_statement(self):
         """Skip to the next plausible statement start."""
+        tokens = self.tokens
         depth = 0
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                return
-            if depth == 0 and tok.kind == "ident" and tok.value in _STATEMENTS:
-                return
-            if tok.kind == "punct":
-                if tok.value == "{":
-                    depth += 1
-                elif tok.value == "}":
-                    depth = max(0, depth - 1)
-                    self.take()
-                    if depth == 0:
-                        return
-                    continue
-            self.take()
+        while tokens[self.i] and not (depth == 0 and tokens[self.i] in _STATEMENTS):
+            tok = tokens[self.i]
+            self.i += 1
+            if tok == "{":
+                depth += 1
+            elif tok == "}":
+                depth = max(0, depth - 1)
+                if depth == 0:
+                    return
 
     # -- values -----------------------------------------------------------
 
     def opt_unit(self) -> str | None:
-        if self.at("ident"):
-            unit = self.take().value
-            if self.accept("punct", "^"):
-                unit = f"{unit}^{self.integer('a unit power')}"
-            return unit
-        if self.at("string"):
-            return self.take().value
-        return None
+        tok = self.tokens[self.i]
+        kind = self.kinds[tok]
+        if kind == "string":
+            self.i += 1
+            return _unquote(tok)
+        if kind != "ident":
+            return None
+        self.i += 1
+        return f"{tok}^{self.integer('a unit power')}" if self.accept("^") else tok
 
     def fuzzy_literal(self):
         """Pairs of a '{s/d + ...}' literal; caller applies the unit."""
-        self.expect("punct", "{")
+        self.expect("{")
         pairs = []
         while True:
             s = self.number("a support")
-            self.expect("punct", "/")
+            self.expect("/")
             d = self.number("a degree")
             pairs.append((s, d))
-            if not self.accept("punct", "+"):
+            if not self.accept("+"):
                 break
-        self.expect("punct", "}")
+        self.expect("}")
         return pairs
 
     def value(self):
-        tok = self.peek()
-        if tok.kind == "number":
+        tok = self.tokens[self.i]
+        if self.kinds[tok] == "number":
             return CrispNumber(self.number(), self.opt_unit())
-        if self.at("punct", "{"):
-            pairs = self.fuzzy_literal()
-            return Fuzzy(make_fuzzy_set(pairs, self.opt_unit()))
-        if self.at("punct", "("):
+        if tok == "{":
+            return Fuzzy(make_fuzzy_set(self.fuzzy_literal(), self.opt_unit()))
+        if tok == "(":
             return self.tuple_value()
-        if self.at("punct", "["):
+        if tok == "[":
             return self.repeat_value()
-        if self.at("ident", "interval"):
+        if tok == "interval":
             return self.interval_value()
-        if self.accept("ident", "fuzzy"):
-            if self.accept("punct", "("):
+        if self.accept("fuzzy"):
+            if self.accept("("):
                 degree = self.number("a truth degree")
-                self.expect("punct", ")")
+                self.expect(")")
                 return TruthDegree(degree)
             return FuzzyMarker()
-        if self.accept("ident", "absent"):
+        if self.accept("absent"):
             return Absent()
-        self.error(f"expected a value, got {tok.value!r}", tok)
+        self.error(f"expected a value, got {_value(tok)!r}")
 
     def tuple_value(self):
-        open_tok = self.take()  # "("
+        start = self.i
+        self.i += 1  # "("
         elements = []
         while True:
-            if self.peek().kind == "number":
+            tok = self.tokens[self.i]
+            if self.kinds[tok] == "number":
                 elements.append(self.number())
-            elif self.at("punct", "{"):
+            elif tok == "{":
                 elements.append(self.fuzzy_literal())
             else:
                 self.error("expected a number or fuzzy set inside the tuple")
-            if not self.accept("punct", ","):
+            if not self.accept(","):
                 break
-        self.expect("punct", ")")
+        self.expect(")")
         unit = self.opt_unit()
         if len(elements) < 2:
-            self.error("a tuple needs at least two components", open_tok)
+            self.error("a tuple needs at least two components", start)
         if all(isinstance(e, float) for e in elements):
             return CrispTuple(tuple(elements), unit)
         if all(isinstance(e, list) for e in elements):
             return FuzzyTuple(tuple(make_fuzzy_set(pairs, unit) for pairs in elements))
-        self.error("tuple components must be all numbers or all fuzzy sets", open_tok)
+        self.error("tuple components must be all numbers or all fuzzy sets", start)
 
     def repeat_value(self):
-        open_tok = self.take()  # "["
-        if self.at("punct", "{"):
-            pairs = self.fuzzy_literal()
-            element = Fuzzy(make_fuzzy_set(pairs, self.opt_unit()))
-        elif self.peek().kind == "number":
-            element = CrispNumber(self.number(), self.opt_unit())
-        else:
+        start = self.i
+        self.i += 1  # "["
+        tok = self.tokens[self.i]
+        if not (tok == "{" or self.kinds[tok] == "number"):
             self.error("expected a number or fuzzy set to repeat")
-        self.expect("punct", "]")
-        self.expect("punct", "*")
+        element = self.value()
+        self.expect("]")
+        self.expect("*")
         count = self.integer("a repeat count")
         if count < 2:
-            self.error("a repeat count must be at least 2", open_tok)
+            self.error("a repeat count must be at least 2", start)
         if isinstance(element, Fuzzy):
             return FuzzyTuple((element.value,) * count)
         return CrispTuple((element.value,) * count, element.unit)
 
     def interval_value(self):
-        self.take()  # "interval"
-        lo_open = self.accept("punct", "(")
-        if not (lo_open or self.accept("punct", "[")):
+        self.i += 1  # "interval"
+        lo_open = self.accept("(")
+        if not (lo_open or self.accept("[")):
             self.error("expected ( or [ after interval")
         lo = self.number("the lower bound")
-        self.expect("punct", ",")
+        self.expect(",")
         hi = self.number("the upper bound")
-        hi_open = self.accept("punct", ")")
-        if not (hi_open or self.accept("punct", "]")):
+        hi_open = self.accept(")")
+        if not (hi_open or self.accept("]")):
             self.error("expected ) or ] to close the interval")
         return Interval(lo, hi, self.opt_unit(), lo_open, hi_open)
 
     # -- members ----------------------------------------------------------
 
     def property_decl(self) -> Property:
-        tok = self.expect("ident", "property")
+        start = self.i
+        self.i += 1  # "property"
         pid = self.ident("a property id")
-        semantic = self.expect("string", what="the property semantic").value
-        if self.accept("punct", ":"):
+        semantic = _unquote(self.take("string", "the property semantic"))
+        if self.accept(":"):
             word = self.ident("fuzzy or absent")
-            if word == "fuzzy":
-                value = FuzzyMarker()
-            elif word == "absent":
-                value = Absent()
-            else:
-                self.error(f"expected fuzzy or absent after ':', got {word!r}", tok)
+            if word not in _MARKERS:
+                self.error(f"expected fuzzy or absent after ':', got {word!r}", start)
+            value = _MARKERS[word]()
         else:
-            self.expect("punct", "=")
+            self.expect("=")
             value = self.value()
-        self.expect("punct", ";")
+        self.expect(";")
         return Property(pid, semantic, value)
 
     def method_decl(self) -> MethodDef:
-        self.expect("ident", "method")
+        self.i += 1  # "method"
         mid = self.ident("a method id")
-        semantic = self.expect("string", what="the method semantic").value
-        self.expect("punct", "=")
-        body = self.expect("string", what="the method body").value
+        semantic = _unquote(self.take("string", "the method semantic"))
+        self.expect("=")
+        body = _unquote(self.take("string", "the method body"))
         bindings = []
-        if self.accept("ident", "bind"):
+        if self.accept("bind"):
             while True:
                 var = self.ident("a variable name")
-                self.expect("punct", "=")
+                self.expect("=")
                 bindings.append(self.selector(var))
-                if not self.accept("punct", ","):
+                if not self.accept(","):
                     break
         unit = None
-        if self.accept("ident", "unit"):
+        if self.accept("unit"):
             unit = self.opt_unit()
             if unit is None:
                 self.error("expected a unit name")
-        self.expect("punct", ";")
+        self.expect(";")
         return MethodDef(mid, semantic, body, tuple(bindings), unit)
 
     def selector(self, var: str) -> Binding:
         name = self.ident("a property id")
-        if name == "count" and self.accept("punct", "("):
+        if name == "count" and self.accept("("):
             pid = self.ident("a property id")
-            self.expect("punct", ")")
+            self.expect(")")
             return Binding(var, pid, "count")
-        if self.accept("punct", "["):
-            if self.accept("punct", "*"):
-                self.expect("punct", "]")
+        if self.accept("["):
+            if self.accept("*"):
+                self.expect("]")
                 return Binding(var, name, "all")
             index = self.integer("a 1-based component index")
-            self.expect("punct", "]")
+            self.expect("]")
             return Binding(var, name, "component", index)
         return Binding(var, name, "scalar")
 
-    # -- statements ---------------------------------------------------------
+    # -- statements: each returns its build steps, (phase, function, *args) --
 
     def class_def(self):
-        tok = self.take()  # "class"
         name = self.ident("a class name")
-        mode = "extensional" if self.accept("ident", "extensional") else "intensional"
+        mode = "extensional" if self.accept("extensional") else "intensional"
         properties, methods, extension = [], [], []
 
         def member():
-            if self.at("ident", "property"):
+            tok = self.tokens[self.i]
+            if tok == "property":
                 properties.append(self.property_decl())
-            elif self.at("ident", "method"):
+            elif tok == "method":
                 methods.append(self.method_decl())
-            elif self.accept("ident", "extension"):
+            elif self.accept("extension"):
                 while True:
                     extension.append(self.ident("a member name"))
-                    if not self.accept("punct", ","):
+                    if not self.accept(","):
                         break
-                self.expect("punct", ";")
+                self.expect(";")
             else:
                 self.error("expected property, method or extension")
 
         self.members(member)
-        self.steps.append((_CLASS, tok, _add_class, (name, properties, methods, mode, extension)))
+        return [(_CLASS, _add_class, name, properties, methods, mode, extension)]
 
     def object_def(self):
-        tok = self.take()  # "object"
         name = self.ident("an object name")
-        declared = self.ident("a class name") if self.accept("punct", ":") else None
+        declared = self.ident("a class name") if self.accept(":") else None
         items, methods = [], []
 
         def member():
-            if self.at("ident", "method"):
+            if self.tokens[self.i] == "method":
                 methods.append(self.method_decl())
                 return
-            item_tok = self.peek()
+            item = self.i
             pid = self.ident("a property id")
-            semantic = self.take().value if self.at("string") else None
-            self.expect("punct", "=")
+            semantic = None
+            if self.kinds[self.tokens[self.i]] == "string":
+                semantic = _unquote(self.take("string", "the property semantic"))
+            self.expect("=")
             value = self.value()
-            self.expect("punct", ";")
-            items.append((pid, semantic, value, item_tok))
+            self.expect(";")
+            items.append((pid, semantic, value, item))
 
         self.members(member)
-        self.steps.append((_OBJECT, tok, _add_object, (self.diags, name, declared, items, methods)))
+        return [(_OBJECT, _add_object, self.report, name, declared, items, methods)]
 
     def relation_def(self):
-        tok = self.take()  # "relation"
         source = self.ident("the source entity")
         kind = self.ident("a relation kind")
         target = self.ident("the target entity")
-        degree = self.number("a degree") if self.accept("ident", "degree") else 1.0
-        self.expect("punct", ";")
-        self.steps.append((_RELATION, tok, Network.add_relation, (source, target, kind, degree)))
+        degree = self.number("a degree") if self.accept("degree") else 1.0
+        self.expect(";")
+        return [(_RELATION, Network.add_relation, source, target, kind, degree)]
 
     def modifier_def(self):
-        tok = self.take()  # "modifier"
         name = self.ident("a modifier name")
         level = self.ident("object or class")
         if level not in ("object", "class"):
-            self.error(f"expected object or class, got {level!r}", tok)
+            self.error(f"expected object or class, got {level!r}", self.start)
         source = self.ident("the source entity")
-        self.expect("punct", "->")
+        self.expect("->")
         target = self.ident("the target name")
-        target_class = self.ident("a class name") if self.accept("ident", "target-class") else None
+        target_class = self.ident("a class name") if self.accept("target-class") else None
         changes = []
 
         def member():
             pid = self.ident("a property id")
-            self.expect("punct", ":")
+            self.expect(":")
             before = self.value()
-            self.expect("punct", "->")
+            self.expect("->")
             after = self.value()
-            self.expect("punct", ";")
+            self.expect(";")
             changes.append(Change(pid, before, after))
 
         self.members(member)
-        args = (name, level, source, target, changes, target_class)
-        self.steps.append((_MODIFIER, tok, _add_modifier, args))
+        steps = [(_MODIFIER, _add_modifier, name, level, source, target, changes, target_class)]
         if level == "object" and target_class is not None:
-            self.steps.append((_LINT, tok, _lint, (self.diags, name, tok)))
+            steps.append((_LINT, _lint, self.report, name, self.start))
+        return steps
 
-    def parse(self):
-        while not self.at("eof"):
-            tok = self.peek()
+    def parse(self) -> list:
+        """Parse every statement; return the steps that build them,
+        (phase, first token, quiet, function, args): function(net, *args)."""
+        tokens, steps = self.tokens, []
+        while tokens[self.i]:
+            tok, self.start, reported = tokens[self.i], self.i, len(self.diags)
             try:
-                if tok.kind == "ident" and tok.value in _STATEMENTS:
-                    getattr(self, f"{tok.value}_def")()
-                else:
-                    self.error(f"expected class, object, relation or modifier, got {tok.value!r}")
+                if tok not in _STATEMENTS:
+                    self.error(f"expected class, object, relation or modifier, got {_value(tok)!r}")
+                self.i += 1
+                built = getattr(self, f"{tok}_def")()
             except _Bail:
                 self.sync_statement()
+                continue
+            # a statement with a parse error is still built, but its build errors go unreported
+            quiet = len(self.diags) > reported
+            steps += [(phase, self.start, quiet, build, args) for phase, build, *args in built]
+        return steps
 
 
 # Build phases.  Steps run phase by phase, and in text order within a phase,
@@ -541,7 +562,7 @@ def _add_class(net, *args):
     net.add(define_class(*args))
 
 
-def _add_object(net, diags, name, declared, items, methods):
+def _add_object(net, report, name, declared, items, methods):
     """Add an object; it inherits semantics and methods from its declared class."""
     base = None
     if declared is not None:
@@ -549,19 +570,13 @@ def _add_object(net, diags, name, declared, items, methods):
         if base is None:
             raise FoodnError(f"object {name}: unknown class {declared!r}")
         if isinstance(base, HeterogeneousClass):
-            raise FoodnError(
-                f"object {name}: {declared} is heterogeneous and cannot be a declared class"
-            )
+            raise FoodnError(f"object {name}: {declared} is heterogeneous and cannot be a declared class")
     properties = []
-    for pid, semantic, value, tok in items:
+    for pid, semantic, value, item in items:
         if semantic is None:
             inherited = base.get_property(pid) if base is not None else None
             if inherited is None:
-                message = (
-                    f"object {name}: property {pid} needs a semantic string "
-                    "(not declared by the class)"
-                )
-                diags.append(ParseDiagnostic("error", message, tok.line, tok.col))
+                report(f"object {name}: property {pid} needs a semantic string (not declared by the class)", item)
                 continue
             semantic = inherited.semantic
         properties.append(Property(pid, semantic, value))
@@ -574,7 +589,7 @@ def _add_modifier(net, *args):
     net.register_modifier(define_modifier(*args))
 
 
-def _lint(net, diags, name, tok):
+def _lint(net, report, name, start):
     """Static reflection lint: warn if what applying the modifier would bind
     does not belong to its target class; silent if it would be refused."""
     mod = net.modifiers.get(name)
@@ -585,11 +600,8 @@ def _lint(net, diags, name, tok):
     except FoodnError:
         return
     if reason is not None:
-        message = (
-            f"modifier {mod.name}: the result would not belong to its "
-            f"target class {mod.target_class}"
-        )
-        diags.append(ParseDiagnostic("warning", message, tok.line, tok.col))
+        report(f"modifier {mod.name}: the result would not belong to its target class {mod.target_class}",
+               start, "warning")
 
 
 @collector_paused
@@ -600,14 +612,15 @@ def parse_network(text: str, tol: float = DEFAULT_TOL):
     if anything is wrong; a partial network is never returned.
     """
     parser = _Parser(text)
-    parser.parse()
-    diags = parser.diags
+    steps = parser.parse()  # kept off the parser: a step may hold parser.report
     net = Network(tol)
-    for _, tok, build, args in sorted(parser.steps, key=itemgetter(0)):
+    for _, start, quiet, build, args in sorted(steps, key=itemgetter(0)):
         try:
             build(net, *args)
         except (FoodnError, ValueError) as exc:
-            diags.append(ParseDiagnostic("error", str(exc), tok.line, tok.col))
+            if not quiet:
+                parser.report(str(exc), start)
+    diags = parser.diags
     errors = [d for d in diags if d.severity == "error"]
     if errors:
         raise DslError(errors)

@@ -23,6 +23,7 @@ from .errors import (
 from .fuzzy import (
     DEFAULT_TOL,
     FuzzySet,
+    as_float,
     check_degree,
     check_tolerance,
     format_fuzzy_set,
@@ -40,6 +41,8 @@ class CrispNumber:
     unit: str | None = None
 
     def __post_init__(self):
+        if type(self.value) is not float:
+            object.__setattr__(self, "value", as_float(self.value))
         if not math.isfinite(self.value):
             raise ValueError(f"a number must be finite, got {self.value!r}")
 
@@ -52,6 +55,8 @@ class CrispTuple:
     def __post_init__(self):
         if not self.values:
             raise ValueError("a tuple value needs at least one component")
+        if {*map(type, self.values)} != {float}:
+            object.__setattr__(self, "values", tuple(map(as_float, self.values)))
         if not all(map(math.isfinite, self.values)):
             raise ValueError(f"tuple components must be finite, got {self.values!r}")
 
@@ -67,6 +72,9 @@ class Interval:
     hi_open: bool = True
 
     def __post_init__(self):
+        if type(self.lo) is not float or type(self.hi) is not float:
+            object.__setattr__(self, "lo", as_float(self.lo))
+            object.__setattr__(self, "hi", as_float(self.hi))
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValueError(f"interval bounds must be finite, got lo={self.lo!r}, hi={self.hi!r}")
         if not self.lo < self.hi:
@@ -85,6 +93,8 @@ class TruthDegree:
     value: float
 
     def __post_init__(self):
+        if type(self.value) is not float:
+            object.__setattr__(self, "value", as_float(self.value))
         check_degree(self.value, "truth degree")
 
 

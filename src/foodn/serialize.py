@@ -110,15 +110,14 @@ def value_from_doc(doc):
 
 def _value_from(doc):
     kind = doc["kind"]
-    if kind == "number":
-        return CrispNumber(as_float(doc["value"]), _unit(doc["unit"]))
+    if kind == "number":  # the value records refuse a bool or a string themselves
+        return CrispNumber(doc["value"], _unit(doc["unit"]))
     if kind == "tuple":
-        return CrispTuple(tuple(map(as_float, doc["values"])), _unit(doc["unit"]))
+        return CrispTuple(tuple(doc["values"]), _unit(doc["unit"]))
     if kind == "interval":
-        lo, hi = as_float(doc["lo"]), as_float(doc["hi"])
-        return Interval(lo, hi, _unit(doc["unit"]), _flag(doc["lo_open"]), _flag(doc["hi_open"]))
+        return Interval(doc["lo"], doc["hi"], _unit(doc["unit"]), _flag(doc["lo_open"]), _flag(doc["hi_open"]))
     if kind == "truth":
-        return TruthDegree(as_float(doc["value"]))
+        return TruthDegree(doc["value"])
     if kind == "fuzzy-marker":
         return FuzzyMarker()
     if kind == "absent":

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from foodn import exploiters, expr, fuzzy, model, modifiers, network
+from foodn import exploiters, expr, fuzzy, model, modifiers, network, serialize
 from foodn.errors import (
     AbstractValueOnObject,
     DuplicateId,
@@ -79,6 +79,30 @@ class TestValues:
                 make()
         with pytest.raises(EvaluationError, match="not finite"):
             make_fuzzy_set([(1.0, 0.5), (x, 1.0)])
+
+    @pytest.mark.parametrize("make", [
+        lambda: TruthDegree(1),
+        lambda: CrispNumber(4),
+        lambda: CrispTuple((1, 2.0)),
+        lambda: Interval(0, 1),
+    ], ids=["truth", "number", "tuple", "interval"])
+    def test_ints_are_stored_as_floats(self, make):
+        net = network.Network()
+        net.add(define_class("T", [Property("p1", "P", make())]))
+        text = serialize.dumps(net)
+        assert serialize.dumps(serialize.loads(text)) == text
+
+    @pytest.mark.parametrize("make", [
+        lambda: TruthDegree(True),
+        lambda: CrispNumber(True),
+        lambda: TruthDegree("0.5"),
+        lambda: CrispNumber("4"),
+        lambda: CrispTuple((1.0, False)),
+        lambda: Interval(0.0, "1"),
+    ], ids=["truth-bool", "number-bool", "truth-str", "number-str", "tuple-bool", "interval-str"])
+    def test_bools_and_strings_are_refused(self, make):
+        with pytest.raises(TypeError, match="expected a number"):
+            make()
 
     def test_interval_bounds(self):
         open_iv = Interval(0.0, 1.0)
