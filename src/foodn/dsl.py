@@ -36,9 +36,10 @@ the next character, and the string ends on its line.  `//` comments to the
 end of the line, and `->` is one token.  Only a line feed starts a line.
 
 One `findall` makes the tokens plain strings, '' last for the end of the
-text; a string keeps its quotes.  Bad characters are sought among the
-distinct tokens, and the stream stops at the leftmost.  A diagnostic finds
-its line and column from a table of token offsets built for the first one.
+text; a string keeps its quotes.  One pass over the distinct tokens finds
+their kinds and bad characters; the stream stops at the leftmost.  A
+diagnostic finds its line and column from a table of token offsets built
+for the first one.
 
 Statements may come in any order.  Each parsed statement queues the step
 that builds it; the steps run classes first, then objects, relations and
@@ -128,16 +129,19 @@ def _numeral_cut(word: str):
     return None
 
 
-def _tokenize(text: str):
-    """Split *text* into token strings, the last '' for the end of the text.
+def _tokenize(text: str, kinds: dict | None = None):
+    """Split *text* into token strings, the last '' for the end of the text,
+    and map each token the stream holds to its _kind in *kinds*, if given.
     Returns (tokens, bad): *bad* is None, or (message, index, shift) when the
     character *shift* into the token at *index* of the whole text's stream
     starts no token, and the stream then ends just before that character."""
     tokens = _TOKEN.findall(text)
     if tokens[-2:] == ["", ""]:  # blanks before the end match, then the end again
         tokens.pop()
+    kinds = {} if kinds is None else kinds
     bad = {}  # offending token -> offset of its bad character
     for tok in set(tokens):
+        kinds[tok] = _kind(tok)
         if len(tok) == 1 and not (tok.isalnum() or tok in "_{}()[],;:=/+*^"):  # starts no token
             bad[tok] = 0
         elif not tok.isascii() and (tok[0].isalnum() or tok[0] == "_") and not tok[0].isdecimal():
@@ -149,6 +153,7 @@ def _tokenize(text: str):
     index = min(map(tokens.index, bad))  # the leftmost, whatever the order of the set
     tok = tokens[index]
     shift = bad[tok]
+    kinds[tok[:shift]] = _kind(tok[:shift])  # the cut token the stream ends with
     message = "unterminated string" if tok == '"' else f"unexpected character {tok[shift]!r}"
     return tokens[:index] + [tok[:shift]] * (shift > 0) + [""], (message, index, shift)
 
@@ -185,8 +190,8 @@ def _locator(text: str, tokens: list, bad):
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens, self.bad = _tokenize(text)
-        self.kinds = {tok: _kind(tok) for tok in set(self.tokens)}
+        self.kinds = {}  # filled by _tokenize: token -> _kind
+        self.tokens, self.bad = _tokenize(text, self.kinds)
         self.where = None  # built by report() when first needed
         self.diags = []
         if self.bad:  # the tokenizer stopped at a bad character

@@ -10,7 +10,10 @@ merge.  There is no pointwise union or intersection of sets.  The text form
     {1.8/0.9 + 2/1 + 2.1/0.95} cm
 
 round-trips exactly through :func:`format_fuzzy_set` / :func:`parse_fuzzy_set`
-for every finite support, including ``1e+16`` and beyond.
+for every finite support, including ``1e+16`` and beyond, when the unit is
+None or an ASCII letter or ``_`` followed by ASCII letters, digits and
+``_^*/``.  A set in any other unit, such as ``"km h"`` or ``"é"``, formats
+but does not parse, and an empty unit parses back as None.
 """
 from __future__ import annotations
 
@@ -52,6 +55,11 @@ def as_float(x) -> float:
     if type(x) is float or type(x) is int:  # not bool, a subclass of int
         return float(x)
     raise TypeError(f"expected a number, got {x!r}")
+
+
+def check_unit(unit):
+    if not (unit is None or isinstance(unit, str)):
+        raise ValueError(f"a unit must be a string or null, got {unit!r}")
 
 
 def check_tolerance(tol: float) -> float:
@@ -101,6 +109,7 @@ class FuzzySet:
     unit: str | None = None
 
     def __post_init__(self):
+        check_unit(self.unit)
         if not self.elements:
             raise EmptyFuzzySet("a fuzzy set needs at least one element")
         prev, exact = -math.inf, True

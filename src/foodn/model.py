@@ -1,10 +1,11 @@
 """Entities: fuzzy objects, classes, and the values their properties carry.
 
-A property value is one of a closed set of variants.  Classes may use the
-abstract variants (a fuzziness marker, an interval constraint, an explicit
-absence); objects must stay concrete.  Property compatibility between an
-object and a class yields a degree in [0, 1], and membership aggregates
-those degrees with a t-norm.
+A property value is one of a closed set of variants, each a record that
+checks its own fields when it is built.  Classes may use the abstract
+variants (a fuzziness marker, an interval constraint, an explicit absence);
+objects must stay concrete.  Property compatibility between an object and a
+class yields a degree in [0, 1], and membership aggregates those degrees
+with a t-norm.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from .fuzzy import (
     as_float,
     check_degree,
     check_tolerance,
+    check_unit,
     format_fuzzy_set,
     format_number,
     fs_equal,
@@ -41,6 +43,7 @@ class CrispNumber:
     unit: str | None = None
 
     def __post_init__(self):
+        check_unit(self.unit)
         if type(self.value) is not float:
             object.__setattr__(self, "value", as_float(self.value))
         if not math.isfinite(self.value):
@@ -53,10 +56,11 @@ class CrispTuple:
     unit: str | None = None
 
     def __post_init__(self):
+        check_unit(self.unit)
+        if type(self.values) is not tuple or {*map(type, self.values)} != {float}:
+            object.__setattr__(self, "values", tuple(map(as_float, self.values)))
         if not self.values:
             raise ValueError("a tuple value needs at least one component")
-        if {*map(type, self.values)} != {float}:
-            object.__setattr__(self, "values", tuple(map(as_float, self.values)))
         if not all(map(math.isfinite, self.values)):
             raise ValueError(f"tuple components must be finite, got {self.values!r}")
 
@@ -72,6 +76,10 @@ class Interval:
     hi_open: bool = True
 
     def __post_init__(self):
+        check_unit(self.unit)
+        for flag in (self.lo_open, self.hi_open):
+            if flag is not True and flag is not False:
+                raise ValueError(f"an interval bound flag must be true or false, got {flag!r}")
         if type(self.lo) is not float or type(self.hi) is not float:
             object.__setattr__(self, "lo", as_float(self.lo))
             object.__setattr__(self, "hi", as_float(self.hi))
@@ -112,14 +120,21 @@ class Absent:
 class Fuzzy:
     value: FuzzySet
 
+    def __post_init__(self):
+        if not isinstance(self.value, FuzzySet):
+            raise ValueError(f"a fuzzy value must be a fuzzy set, got {self.value!r}")
+
 
 @dataclass(frozen=True, slots=True)
 class FuzzyTuple:
     values: tuple[FuzzySet, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
             raise ValueError("a fuzzy tuple needs at least one component")
+        if not all(isinstance(fs, FuzzySet) for fs in self.values):
+            raise ValueError(f"fuzzy tuple components must be fuzzy sets, got {self.values!r}")
 
 
 ABSTRACT_VARIANTS = (FuzzyMarker, Absent)
@@ -202,6 +217,8 @@ class Property:
             raise ValueError("property id must be non-empty")
         if not self.semantic:
             raise ValueError("property semantic must be non-empty")
+        if not isinstance(self.value, PropertyValue):
+            raise ValueError(f"not a property value: {self.value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -365,12 +382,16 @@ class _Specified:
         return None
 
 
-def _check_ids(name, specification, signature):
+def _check_items(name, specification, signature):
+    """Properties, then methods, each id once."""
     seen = set()
-    for item in list(specification) + list(signature):
-        if item.id in seen:
-            raise DuplicateId(f"{name}: id {item.id!r} used twice")
-        seen.add(item.id)
+    for items, record in ((specification, Property), (signature, MethodDef)):
+        for item in items:
+            if type(item) is not record:
+                raise ValueError(f"{name}: a specification holds properties and a signature methods")
+            if item.id in seen:
+                raise DuplicateId(f"{name}: id {item.id!r} used twice")
+            seen.add(item.id)
 
 
 @dataclass(frozen=True, slots=True)
@@ -387,7 +408,7 @@ class ClassSpec(_Specified):
         _check_name("class", self.name)
         if self.mode not in ("intensional", "extensional"):
             raise ValueError(f"unknown class mode {self.mode!r}")
-        _check_ids(self.name, self.specification, self.signature)
+        _check_items(self.name, self.specification, self.signature)
         if self.mode == "intensional":
             if not self.specification and not self.signature:
                 raise EmptyClass(f"class {self.name}: needs at least one property or method")
@@ -396,6 +417,8 @@ class ClassSpec(_Specified):
         else:
             if not self.extension:
                 raise ExtensionMissing(f"class {self.name}: extensional classes need members")
+            for member in self.extension:
+                _check_strings("class", member=member)
 
 
 @dataclass(frozen=True, slots=True)
@@ -427,7 +450,7 @@ class FuzzyObject(_Specified):
         _check_name("object", self.name)
         if not (self.declared_class is None or isinstance(self.declared_class, str)):
             _check_strings("object", declared_class=self.declared_class)
-        _check_ids(self.name, self.specification, self.signature)
+        _check_items(self.name, self.specification, self.signature)
         for p in self.specification:
             if isinstance(p.value, ABSTRACT_VARIANTS):
                 raise AbstractValueOnObject(

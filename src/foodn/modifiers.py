@@ -35,6 +35,9 @@ class Change:
         _check_strings("change", prop=self.prop)
         if not self.prop:
             raise ValueError("change property id must be non-empty")
+        for value in (self.before, self.after):
+            if not isinstance(value, PropertyValue):
+                raise ValueError(f"not a property value: {value!r}")
         if value_equivalent(self.before, self.after, 0.0):  # exactly, whatever the tolerance
             raise InvalidChange(
                 f"change to {self.prop} must alter the value, both sides are "

@@ -40,58 +40,49 @@ SCHEMA_VERSION = 1
 
 # -- values -------------------------------------------------------------------
 
+# Document kind -> value record.  A value document is its record's fields by
+# name, tuples as lists, and the record checks them as it is read back; only
+# a "fuzzy" document holds its set's elements and unit beside "kind" instead,
+# and a "fuzzy-tuple" one a list of such sets.
+VALUE_KINDS = {
+    "number": CrispNumber,
+    "tuple": CrispTuple,
+    "interval": Interval,
+    "truth": TruthDegree,
+    "fuzzy-marker": FuzzyMarker,
+    "absent": Absent,
+    "fuzzy": Fuzzy,
+    "fuzzy-tuple": FuzzyTuple,
+}
+_KIND_OF = {record: kind for kind, record in VALUE_KINDS.items()}
+
 
 def _fs_doc(fs: FuzzySet) -> dict:
     return {"elements": [[s, d] for s, d in fs.elements], "unit": fs.unit}
 
 
 def _fs_from(doc) -> FuzzySet:
-    # FuzzySet itself refuses what is not an int or a float
-    return FuzzySet(tuple((s, d) for s, d in doc["elements"]), _unit(doc["unit"]))
+    return FuzzySet(tuple((s, d) for s, d in doc["elements"]), doc["unit"])
 
 
-# A document's numbers, units and flags are checked as they are read: float()
-# alone would take "4" and true, and a unit of [] or {} would load and fail
-# later, where it is hashed or sorted.
-
-
-def _unit(unit):
-    if unit is None or type(unit) is str:
-        return unit
-    raise ValueError(f"a unit must be a string or null, got {unit!r}")
-
-
-def _flag(flag) -> bool:
-    if flag is True or flag is False:
-        return flag
-    raise ValueError(f"an interval bound flag must be true or false, got {flag!r}")
+def _record_doc(record, **docs) -> dict:
+    """*docs* and every other field of *record* by name, tuples as lists."""
+    for name in record.__match_args__:
+        if name not in docs:
+            field = getattr(record, name)
+            docs[name] = list(field) if type(field) is tuple else field
+    return docs
 
 
 def value_to_doc(value) -> dict:
-    if isinstance(value, CrispNumber):
-        return {"kind": "number", "value": value.value, "unit": value.unit}
-    if isinstance(value, CrispTuple):
-        return {"kind": "tuple", "values": list(value.values), "unit": value.unit}
-    if isinstance(value, Interval):
-        return {
-            "kind": "interval",
-            "lo": value.lo,
-            "hi": value.hi,
-            "lo_open": value.lo_open,
-            "hi_open": value.hi_open,
-            "unit": value.unit,
-        }
-    if isinstance(value, TruthDegree):
-        return {"kind": "truth", "value": value.value}
-    if isinstance(value, FuzzyMarker):
-        return {"kind": "fuzzy-marker"}
-    if isinstance(value, Absent):
-        return {"kind": "absent"}
-    if isinstance(value, Fuzzy):
-        return {"kind": "fuzzy", **_fs_doc(value.value)}
-    if isinstance(value, FuzzyTuple):
-        return {"kind": "fuzzy-tuple", "values": [_fs_doc(fs) for fs in value.values]}
-    raise TypeError(f"not a property value: {value!r}")
+    kind = _KIND_OF.get(type(value))
+    if kind is None:
+        raise TypeError(f"not a property value: {value!r}")
+    if kind == "fuzzy":
+        return {"kind": kind, **_fs_doc(value.value)}
+    if kind == "fuzzy-tuple":
+        return {"kind": kind, "values": [_fs_doc(fs) for fs in value.values]}
+    return _record_doc(value, kind=kind)
 
 
 def _refused(what: str, build, *args):
@@ -110,23 +101,14 @@ def value_from_doc(doc):
 
 def _value_from(doc):
     kind = doc["kind"]
-    if kind == "number":  # the value records refuse a bool or a string themselves
-        return CrispNumber(doc["value"], _unit(doc["unit"]))
-    if kind == "tuple":
-        return CrispTuple(tuple(doc["values"]), _unit(doc["unit"]))
-    if kind == "interval":
-        return Interval(doc["lo"], doc["hi"], _unit(doc["unit"]), _flag(doc["lo_open"]), _flag(doc["hi_open"]))
-    if kind == "truth":
-        return TruthDegree(doc["value"])
-    if kind == "fuzzy-marker":
-        return FuzzyMarker()
-    if kind == "absent":
-        return Absent()
     if kind == "fuzzy":
         return Fuzzy(_fs_from(doc))
     if kind == "fuzzy-tuple":
         return FuzzyTuple(tuple(_fs_from(v) for v in doc["values"]))
-    raise CorruptDocument(f"unknown value kind {kind!r}")
+    record = VALUE_KINDS.get(kind) if isinstance(kind, str) else None
+    if record is None:
+        raise CorruptDocument(f"unknown value kind {kind!r}")
+    return record(*map(doc.__getitem__, record.__match_args__))
 
 
 # -- entities -----------------------------------------------------------------
@@ -141,16 +123,7 @@ def _property_from(doc) -> Property:
 
 
 def _method_doc(m: MethodDef) -> dict:
-    return {
-        "id": m.id,
-        "semantic": m.semantic,
-        "body": m.body,
-        "bindings": [
-            {"var": b.var, "prop": b.prop, "accessor": b.accessor, "index": b.index}
-            for b in m.bindings
-        ],
-        "result_unit": m.result_unit,
-    }
+    return _record_doc(m, bindings=[_record_doc(b) for b in m.bindings])
 
 
 def _method_from(doc, methods: dict) -> MethodDef:
@@ -233,40 +206,22 @@ def to_document(net: Network) -> dict:
         "objects": [entity_to_doc(net.objects[n]) for n in sorted(net.objects)],
         "classes": [entity_to_doc(net.classes[n]) for n in sorted(net.classes)],
         "relations": [
-            {"source": r.source, "target": r.target, "kind": r.kind, "degree": r.degree}
-            for r in sorted(net.relations, key=lambda r: (r.source, r.target, r.kind))
+            _record_doc(r) for r in sorted(net.relations, key=lambda r: (r.source, r.target, r.kind))
         ],
         "exploiters": _exploiter_docs(net),
         "modifiers": [
-            {
-                "name": m.name,
-                "level": m.level,
-                "source": m.source,
-                "target_name": m.target_name,
-                "target_class": m.target_class,
-                "changes": [_change_doc(c) for c in m.changes],
-            }
+            _record_doc(m, changes=[_change_doc(c) for c in m.changes])
             for m in sorted(net.modifiers.values(), key=lambda m: m.name)
         ],
         "provenance": [
-            {
-                "seq": p.seq,
-                "op": p.op,
-                "sources": list(p.sources),
-                "target": p.target,
-                "changes": [_change_doc(c) for c in p.changes],
-            }
-            for p in net.provenance
+            _record_doc(p, changes=[_change_doc(c) for c in p.changes]) for p in net.provenance
         ],
         "history": dict(sorted(net.history.items())),
     }
 
 
 def _exploiter_docs(net: Network) -> list:
-    return [
-        {"kind": e.kind, "arity": e.arity}
-        for e in sorted(net.exploiters.values(), key=lambda e: e.kind)
-    ]
+    return [_record_doc(e) for e in sorted(net.exploiters.values(), key=lambda e: e.kind)]
 
 
 def from_document(doc, tol: float = DEFAULT_TOL) -> Network:

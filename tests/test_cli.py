@@ -426,6 +426,20 @@ class TestExitCodes:
             assert err == f"error: bad network document: {message}\n"
         assert not saved.exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda changes: [], "no changes declared"),
+        (lambda changes: changes[:1] * 2, "several changes target one property"),
+    ], ids=["empty", "repeated"])
+    def test_bad_change_list_is_2(self, tmp_path, edit, message):
+        doc = to_document(load_file(POLYGONS)[0])
+        [m1] = [m for m in doc["modifiers"] if m["name"] == "M1_Sq1"]
+        m1["changes"] = edit(m1["changes"])
+        path = tmp_path / "changes.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli("load", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: bad network document: modifier M1_Sq1: {message}\n"
+
     def test_version_mismatch_is_2(self, tmp_path):
         path = tmp_path / "future.json"
         path.write_text('{"foodn_version": 99}')

@@ -284,6 +284,14 @@ class TestDiagnostics:
         assert [(d.line, d.col) for d in diags] == [(3, 3), (4, 3)]
         assert all("must alter the value" in d.message for d in diags)
 
+    @pytest.mark.parametrize("changes, message", [
+        ("", "modifier M: no changes declared"),
+        ("p1: 1 -> 2; p1: 1 -> 3;", "modifier M: several changes target one property"),
+    ], ids=["empty", "repeated"])
+    def test_a_refused_change_list_is_placed_at_the_modifier(self, changes, message):
+        text = 'object O { p1 "P" = 1; }\nmodifier M object O -> O2 { %s }\n' % changes
+        assert [str(d) for d in errors_of(text)] == [f"2:1: error: {message}"]
+
     @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.05])
     def test_a_change_is_judged_exactly_at_any_tolerance(self, tol):
         text = 'object O { p1 "P" = 1; }\nmodifier M object O -> O2 {\n  p1: 1 -> %s;\n}\n'

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 import sys
 from dataclasses import replace
 
@@ -12,7 +13,9 @@ import pytest
 from foodn import exploiters, expr, fuzzy, model, modifiers, network, serialize
 from foodn.errors import (
     AbstractValueOnObject,
+    DuplicateChange,
     DuplicateId,
+    EmptyChangeList,
     EmptyClass,
     ExtensionMissing,
     EvaluationError,
@@ -50,6 +53,7 @@ from foodn.modifiers import Change, Modifier
 
 FS = make_fuzzy_set([(1.8, 0.9), (2.0, 1.0), (2.1, 0.95)], unit="cm")
 CHANGE = Change("p1", CrispNumber(1.0), CrispNumber(2.0))
+METHOD = MethodDef("f1", "Area", "a", (Binding("a", "p1"),))
 
 
 def prop(pid, semantic, value):
@@ -103,6 +107,64 @@ class TestValues:
     def test_bools_and_strings_are_refused(self, make):
         with pytest.raises(TypeError, match="expected a number"):
             make()
+
+    @pytest.mark.parametrize("unit", [5, [], {}], ids=["number", "list", "dict"])
+    @pytest.mark.parametrize("make", [
+        lambda unit: CrispNumber(1.0, unit),
+        lambda unit: CrispTuple((1.0, 2.0), unit),
+        lambda unit: Interval(0.0, 1.0, unit),
+        lambda unit: fuzzy.FuzzySet(((1.0, 1.0),), unit),
+        lambda unit: make_fuzzy_set([(1.0, 1.0)], unit),
+    ], ids=["number", "tuple", "interval", "fuzzy set", "make_fuzzy_set"])
+    def test_units_are_strings_or_none(self, make, unit):
+        with pytest.raises(ValueError, match=f"^a unit must be a string or null, got {re.escape(repr(unit))}$"):
+            make(unit)
+
+    @pytest.mark.parametrize("flags", [
+        {"lo_open": 1}, {"hi_open": 0}, {"lo_open": None}, {"hi_open": "yes"},
+    ], ids=["lo one", "hi zero", "lo none", "hi string"])
+    def test_interval_flags_are_bools(self, flags):
+        with pytest.raises(ValueError, match="^an interval bound flag must be true or false, got "):
+            Interval(0.0, 1.0, **flags)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: CrispNumber("4", 5), "a unit must be"),
+        (lambda: CrispTuple((), []), "a unit must be"),
+        (lambda: Interval(1.0, 0.0, {}, 1), "a unit must be"),
+        (lambda: Interval(1.0, "0", None, True, 1), "an interval bound flag must be"),
+        (lambda: fuzzy.FuzzySet((), 5), "a unit must be"),
+    ], ids=["number", "tuple", "interval unit", "interval flag", "fuzzy set"])
+    def test_units_and_flags_are_checked_before_numbers(self, make, message):
+        # the order a document's fields were checked in when the loader checked them
+        with pytest.raises(ValueError, match=f"^{message}"):
+            make()
+
+    def test_sequences_are_stored_as_tuples(self):
+        number_pair, fuzzy_pair = CrispTuple([1.0, 2]), FuzzyTuple([FS, FS])
+        assert number_pair.values == (1.0, 2.0) and fuzzy_pair.values == (FS, FS)
+        assert len({Property("p1", "P", number_pair), Property("p2", "Q", fuzzy_pair)}) == 2  # hashable
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Fuzzy(5), "a fuzzy value must be a fuzzy set, got 5"),
+        (lambda: Fuzzy([(1.0, 1.0)]), "a fuzzy value must be a fuzzy set, got [(1.0, 1.0)]"),
+        (lambda: FuzzyTuple((FS, 5)), "fuzzy tuple components must be fuzzy sets"),
+    ], ids=["fuzzy number", "fuzzy pairs", "fuzzy tuple"])
+    def test_fuzzy_values_hold_fuzzy_sets(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            make()
+
+    @pytest.mark.parametrize("value", [5, 1.0, "fuzzy", None, FS, (CrispNumber(1.0),)],
+                             ids=["int", "float", "str", "none", "fuzzy set", "tuple"])
+    def test_property_values_are_value_records(self, value):
+        with pytest.raises(ValueError, match=f"^not a property value: {re.escape(repr(value))}$"):
+            Property("p1", "P", value)
+
+    @pytest.mark.parametrize("before, after", [
+        (5, CrispNumber(1.0)), (CrispNumber(1.0), "x"), (5, "x"), (FS, Fuzzy(FS)),
+    ], ids=["before", "after", "both", "bare fuzzy set"])
+    def test_change_values_are_value_records(self, before, after):
+        with pytest.raises(ValueError, match="^not a property value: "):
+            Change("p1", before, after)
 
     def test_interval_bounds(self):
         open_iv = Interval(0.0, 1.0)
@@ -196,6 +258,15 @@ class TestMethods:
     def test_modifier_names_must_be_non_empty(self, make, empty):
         with pytest.raises(ValueError, match=f"{empty} must be non-empty"):
             make()
+
+    def test_a_modifier_needs_changes(self):
+        with pytest.raises(EmptyChangeList, match="^modifier M: no changes declared$"):
+            Modifier("M", "object", "O", "O2", ())
+
+    def test_a_modifier_changes_each_property_once(self):
+        other = Change("p1", CrispNumber(1.0), CrispNumber(3.0))
+        with pytest.raises(DuplicateChange, match="^modifier M: several changes target one property$"):
+            Modifier("M", "object", "O", "O2", (CHANGE, other))
 
     def test_compiled_body_takes_no_part_in_identity(self):
         def build():
@@ -411,6 +482,21 @@ class TestEntities:
         assert membership_degree(obj, cls) == 1.0
         assert membership_degree(define_object("X", [prop("p1", "Kind", CrispNumber(1.0))]),
                                  cls) == 0.0
+
+    @pytest.mark.parametrize("member", [1, None, ["Rb1"]], ids=["number", "none", "list"])
+    def test_extension_members_are_strings(self, member):
+        with pytest.raises(ValueError, match=f"^class member must be a string, got {re.escape(repr(member))}$"):
+            define_class("C", mode="extensional", extension=["Rb1", member])
+
+    @pytest.mark.parametrize("make", [
+        lambda: define_class("C", [METHOD]),
+        lambda: define_class("C", [Property("p1", "P", CrispNumber(1.0))], [Property("p2", "Q", Absent())]),
+        lambda: define_object("O", [CrispNumber(1.0)]),
+        lambda: define_object("O", [], ["f1"]),
+    ], ids=["method as property", "property as method", "value as property", "name as method"])
+    def test_specifications_hold_properties_and_signatures_methods(self, make):
+        with pytest.raises(ValueError, match="a specification holds properties and a signature methods"):
+            make()
 
     def test_heterogeneous_class_needs_two(self):
         a = define_class("A", [prop("p1", "S", Absent())])

@@ -30,14 +30,17 @@ from foodn.exploiters import (
     sym_difference_op,
     union_op,
 )
-from foodn.fuzzy import make_fuzzy_set
+from foodn.fuzzy import FuzzySet, make_fuzzy_set
 from foodn.model import (
     Absent,
     Binding,
     CrispNumber,
+    CrispTuple,
     Fuzzy,
     FuzzyMarker,
+    FuzzyTuple,
     HeterogeneousClass,
+    Interval,
     MethodDef,
     Property,
     TruthDegree,
@@ -46,6 +49,7 @@ from foodn.model import (
     define_object,
     membership_degree,
 )
+from foodn.modifiers import Change, define_modifier
 from foodn.network import RELATION_KINDS, Network
 from foodn.serialize import dumps, entity_to_doc, loads
 from oracles import oracle_extend, oracle_infer, oracle_insert, oracle_reach
@@ -221,6 +225,93 @@ def test_serialization_fixpoint(net):
     again = dumps(loads(text))
     assert again == text
     assert dumps(loads(again)) == again
+
+
+# -- whatever the public constructors accept survives a save ----------------------
+
+# Every field is drawn from well-typed and, now and then, mistyped values.
+# A constructor that refuses its fields yields None, which later draws may
+# pass on as a field in turn.
+
+
+def _built(make, *args):
+    """make(*args), or None when it refuses them."""
+    try:
+        return make(*args)
+    except (ValueError, TypeError, OverflowError, FoodnError):
+        return None
+
+
+def _kept(items):
+    return [item for item in items if item is not None]
+
+
+junk = st.sampled_from([5, True, None, "", [], {}, "4", ("cm",), math.inf, math.nan, 10**400])
+
+
+def mostly(valid):
+    """A draw from *valid*, or one time in eight a value of another type."""
+    return st.integers(0, 7).flatmap(lambda i: junk if i == 0 else valid)
+
+
+any_numbers = mostly(st.one_of(st.integers(-10**6, 10**6), st.floats(-1e6, 1e6)))
+any_degrees = mostly(st.one_of(st.integers(0, 1), st.floats(0, 1)))
+any_units = mostly(st.sampled_from([None, "cm", "km h", "é", "m/s", ""]))
+any_flags = mostly(st.booleans())
+any_names = mostly(st.sampled_from(["A", "B", "C", "D"]))
+any_ids = mostly(st.sampled_from(["p1", "p2", "p3", "p4"]))
+any_pairs = st.lists(st.tuples(any_numbers, any_degrees), min_size=1, max_size=3)
+any_sets = mostly(st.one_of(
+    st.builds(_built, st.just(make_fuzzy_set), any_pairs, any_units),
+    st.builds(_built, st.just(FuzzySet), any_pairs.map(tuple), any_units),
+))
+any_values = mostly(st.one_of(
+    st.builds(_built, st.just(CrispNumber), any_numbers, any_units),
+    st.builds(_built, st.just(CrispTuple), st.lists(any_numbers, min_size=1, max_size=3), any_units),
+    st.builds(_built, st.just(Interval), any_numbers, any_numbers, any_units, any_flags, any_flags),
+    st.builds(_built, st.just(TruthDegree), any_degrees),
+    st.builds(FuzzyMarker),
+    st.builds(Absent),
+    st.builds(_built, st.just(Fuzzy), any_sets),
+    st.builds(_built, st.just(FuzzyTuple), st.lists(any_sets, min_size=1, max_size=2)),
+))
+any_properties = st.lists(  # ids drawn apart, so that few entities refuse a repeated one
+    st.tuples(any_ids, any_names, any_values), min_size=1, max_size=3, unique_by=lambda f: repr(f[0]),
+).map(lambda fields: _kept([_built(Property, *f) for f in fields]))
+no_methods = mostly(st.just(()))
+any_entities = st.one_of(
+    st.builds(_built, st.just(define_class), any_names, any_properties, no_methods),
+    st.builds(_built, st.just(define_class), any_names, st.just(()), no_methods, st.just("extensional"),
+              st.lists(any_names, min_size=1, max_size=2)),
+    st.builds(_built, st.just(define_object), any_names, any_properties, no_methods,
+              st.one_of(st.none(), any_names)),
+)
+any_changes = st.lists(st.builds(_built, st.just(Change), any_ids, any_values, any_values),
+                       min_size=1, max_size=2).map(_kept)
+
+
+@st.composite
+def constructed_networks(draw):
+    net = Network()
+    for entity in _kept(draw(st.lists(any_entities, min_size=1, max_size=4))):
+        _built(net.add, entity)  # a taken name is refused
+    names = st.one_of(st.sampled_from(sorted(net.objects) + sorted(net.classes) + ["Nope"]), any_names)
+    for _ in range(draw(st.integers(0, 3))):
+        _built(net.add_relation, draw(names), draw(names), draw(st.sampled_from(RELATION_KINDS)),
+               draw(any_degrees))
+    for _ in range(draw(st.integers(0, 2))):
+        modifier = _built(define_modifier, draw(any_names), draw(st.sampled_from(["object", "class"])),
+                          draw(names), draw(any_names), draw(any_changes), draw(st.one_of(st.none(), names)))
+        if modifier is not None:
+            _built(net.register_modifier, modifier)
+    return net
+
+
+@MANY
+@given(net=constructed_networks())
+def test_what_the_constructors_accept_survives_a_save(net):
+    text = dumps(net)
+    assert dumps(loads(text)) == text
 
 
 @MANY

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DISJOINT, POLYGONS
-from foodn import Network, eval_method, expr, serialize
+from foodn import Network, eval_method, expr, model, serialize
 from foodn.dsl import parse_network
 from foodn.errors import CorruptDocument, FoodnError, SchemaVersionMismatch, UnknownEntity
 from foodn.fuzzy import FuzzySet, make_fuzzy_set
@@ -32,6 +32,7 @@ from foodn.model import (
     define_object,
 )
 from foodn.serialize import (
+    VALUE_KINDS,
     dumps,
     entity_from_doc,
     entity_to_doc,
@@ -91,6 +92,29 @@ class TestValueDocs:
     def test_unknown_kind(self):
         with pytest.raises(CorruptDocument, match="unknown value kind"):
             value_from_doc({"kind": "matrix"})
+
+    @pytest.mark.parametrize("kind", [[], {}, 5, None])
+    def test_a_kind_that_is_no_string_is_unknown(self, kind):
+        with pytest.raises(CorruptDocument, match=f"^unknown value kind {re.escape(repr(kind))}$"):
+            value_from_doc({"kind": kind})
+
+    def test_every_value_record_has_one_kind(self):
+        assert sorted(VALUE_KINDS.values(), key=lambda r: r.__name__) == sorted(
+            model.PropertyValue.__args__, key=lambda r: r.__name__)
+        assert [type(v) for v in ALL_VALUES if VALUE_KINDS[value_to_doc(v)["kind"]] is not type(v)] == []
+
+    def test_field_documents_write_tuples_as_lists(self):
+        assert value_to_doc(Interval(0.0, 1.0, "deg", False, True)) == {
+            "kind": "interval", "lo": 0.0, "hi": 1.0, "unit": "deg", "lo_open": False, "hi_open": True}
+        doc = value_to_doc(CrispTuple((1.0, 2.0)))
+        assert doc == {"kind": "tuple", "values": [1.0, 2.0], "unit": None} and type(doc["values"]) is list
+        assert value_to_doc(FuzzyTuple((FS,))) == {
+            "kind": "fuzzy-tuple", "values": [{"elements": [[1.8, 0.9], [2.0, 1.0]], "unit": "cm"}]}
+        assert value_to_doc(FuzzyMarker()) == {"kind": "fuzzy-marker"}
+
+    def test_a_non_value_is_not_written(self):
+        with pytest.raises(TypeError, match="^not a property value: 5$"):
+            value_to_doc(5)
 
     def test_missing_field(self):
         with pytest.raises(CorruptDocument):
@@ -329,6 +353,17 @@ class TestNetworkDocs:
         [union] = [c for c in doc["classes"] if c["name"] == "union_Rb1_Sq1"]
         union["extension"] = extension
         with pytest.raises(CorruptDocument, match=f"bad network document: {message}"):
+            loads(json.dumps(doc))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda changes: [], "no changes declared"),
+        (lambda changes: changes[:1] * 2, "several changes target one property"),
+    ], ids=["empty", "repeated"])
+    def test_malformed_change_lists_are_corrupt(self, polygons, edit, message):
+        doc = to_document(polygons)
+        [m1] = [m for m in doc["modifiers"] if m["name"] == "M1_Sq1"]
+        m1["changes"] = edit(m1["changes"])
+        with pytest.raises(CorruptDocument, match=f"^bad network document: modifier M1_Sq1: {message}$"):
             loads(json.dumps(doc))
 
     @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
