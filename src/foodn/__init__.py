@@ -6,8 +6,6 @@ declared transformations while keeping full history and provenance.
 """
 from __future__ import annotations
 
-from importlib import resources
-
 from .errors import FoodnError
 from .evaluator import eval_method, evaluate_method, extend
 from .fuzzy import (
@@ -54,4 +52,6 @@ def parse_network(text, tol=DEFAULT_TOL):
 
 def fixture_path(name: str):
     """Filesystem path of a bundled example network, e.g. polygons.foodn."""
+    from importlib import resources  # here, not at the top: it costs start-up time
+
     return resources.files(__name__) / "data" / name

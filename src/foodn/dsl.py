@@ -53,10 +53,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from operator import itemgetter
 
 from ._gc import collector_paused
+from ._record import record
 from .errors import DslError, FoodnError
 from .fuzzy import DEFAULT_TOL, make_fuzzy_set
 from .model import (
@@ -81,7 +81,7 @@ from .modifiers import Change, check_applicable, define_modifier, transform
 from .network import Network
 
 
-@dataclass(frozen=True)
+@record
 class ParseDiagnostic:
     severity: str  # "error" or "warning"
     message: str

@@ -21,8 +21,8 @@ import functools
 import math
 import re
 from collections.abc import Callable, Collection
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import EvaluationError, ExprSyntaxError, UnresolvedBinding
 
 FUNCTIONS = ("sin", "cos", "sqrt")
@@ -35,35 +35,35 @@ class Expr:
     __slots__ = ()  # so that the slotted nodes carry no __dict__
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Num(Expr):
     value: float
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Neg(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Bin(Expr):
     op: str
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Call(Expr):
     func: str
     arg: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Sum(Expr):
     var: str
 

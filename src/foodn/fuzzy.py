@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import DegreeOutOfRange, EmptyFuzzySet, EvaluationError
 
 DEFAULT_TOL = 1e-9
@@ -97,7 +97,7 @@ def merge_pairs(pairs, tol: float):
     return tuple([(float(s), float(d)) for s, d in merged if d > 0.0])
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FuzzySet:
     """A discrete fuzzy set in canonical form.
 
@@ -141,14 +141,13 @@ def make_fuzzy_set(pairs, unit: str | None = None) -> FuzzySet:
     """Build a fuzzy set from raw pairs, normalizing as needed.
 
     Equal supports merge by max degree, however close distinct ones lie;
-    zero-degree elements are dropped.  Degrees outside [0, 1] raise
-    DegreeOutOfRange, an empty (or all-zero) input raises EmptyFuzzySet.
+    zero-degree elements are dropped.  A support or degree that is not an
+    int or a float raises TypeError, a degree outside [0, 1]
+    DegreeOutOfRange, an empty (or all-zero) input EmptyFuzzySet.
     """
-    pairs = list(pairs)
+    pairs = [(as_float(support), check_degree(as_float(degree))) for support, degree in pairs]
     if not pairs:
         raise EmptyFuzzySet("a fuzzy set needs at least one element")
-    for _, degree in pairs:
-        check_degree(degree)
     merged = merge_pairs(pairs, 0.0)
     if not merged:
         raise EmptyFuzzySet("all elements had zero degree")

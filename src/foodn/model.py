@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from . import expr as _expr
+from ._record import COMPUTED, record
 from .errors import (
     AbstractValueOnObject,
     DuplicateId,
@@ -37,7 +37,7 @@ from .fuzzy import (
 # -- property values ----------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CrispNumber:
     value: float
     unit: str | None = None
@@ -50,7 +50,7 @@ class CrispNumber:
             raise ValueError(f"a number must be finite, got {self.value!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CrispTuple:
     values: tuple[float, ...]
     unit: str | None = None
@@ -65,7 +65,7 @@ class CrispTuple:
             raise ValueError(f"tuple components must be finite, got {self.values!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Interval:
     """A range constraint; bounds are open unless flagged closed."""
 
@@ -94,7 +94,7 @@ class Interval:
         return above and below
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TruthDegree:
     """A graded truth value for yes/no-flavoured properties."""
 
@@ -106,17 +106,17 @@ class TruthDegree:
         check_degree(self.value, "truth degree")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FuzzyMarker:
     """Class-side declaration that the property is fuzzy-valued."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Absent:
     """Class-side declaration that the property does not apply."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Fuzzy:
     value: FuzzySet
 
@@ -125,7 +125,7 @@ class Fuzzy:
             raise ValueError(f"a fuzzy value must be a fuzzy set, got {self.value!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FuzzyTuple:
     values: tuple[FuzzySet, ...]
 
@@ -204,7 +204,7 @@ def _check_name(owner: str, name):
         raise ValueError(f"{owner} name must be non-empty")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Property:
     id: str
     semantic: str
@@ -221,7 +221,7 @@ class Property:
             raise ValueError(f"not a property value: {self.value!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Binding:
     """Ties a body variable to a property selector of the evaluated entity.
 
@@ -244,17 +244,18 @@ class Binding:
             raise ValueError(f"component indexes are 1-based integers, got {self.index!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MethodDef:
     """A method.  Its body is parsed, checked and compiled once, when it is
-    built; ``program`` is a function of one slot per binding, in order."""
+    built; ``program`` is a function of one slot per binding, in order.  It
+    is computed, not given: a copied or unpickled method compiles again."""
 
     id: str
     semantic: str
     body: str
     bindings: tuple[Binding, ...] = ()
     result_unit: str | None = None
-    program: Callable = field(init=False, repr=False, compare=False)
+    program: Callable = COMPUTED
 
     def __post_init__(self):
         _check_strings("method", id=self.id, semantic=self.semantic, body=self.body)
@@ -274,10 +275,6 @@ class MethodDef:
         slots = {name: i for i, name in enumerate(names)}
         families = {b.var for b in self.bindings if b.accessor == "all"}
         object.__setattr__(self, "program", _expr.compile_program(ast, slots, families))
-
-    def __reduce__(self):
-        # a compiled body cannot be pickled; unpickling builds the method again
-        return type(self), (self.id, self.semantic, self.body, self.bindings, self.result_unit)
 
 
 def method_equivalent(a: MethodDef, b: MethodDef) -> bool:
@@ -394,7 +391,7 @@ def _check_items(name, specification, signature):
             seen.add(item.id)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ClassSpec(_Specified):
     """An intensional or extensional fuzzy class."""
 
@@ -421,7 +418,7 @@ class ClassSpec(_Specified):
                 _check_strings("class", member=member)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class HeterogeneousClass:
     """A union-typed class: one projection per source class, unmerged."""
 
@@ -439,7 +436,7 @@ class HeterogeneousClass:
             raise DuplicateId(f"{self.name}: duplicate projection {names!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FuzzyObject(_Specified):
     name: str
     specification: tuple[Property, ...] = ()

@@ -7,8 +7,7 @@ name in its history and records the change in provenance.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
+from ._record import record, replace
 from .errors import (
     DuplicateChange,
     EmptyChangeList,
@@ -25,7 +24,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Change:
     prop: str
     before: PropertyValue
@@ -45,7 +44,7 @@ class Change:
             )
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Modifier:
     name: str
     level: str  # "object" or "class"

@@ -10,10 +10,10 @@ out once, before anything changes; the .foodn reflection lint asks the same.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
 from itertools import count
 
 from . import exploiters as _exp
+from ._record import record, replace
 from .errors import (
     ArityError,
     DuplicateName,
@@ -27,7 +27,7 @@ from .errors import (
     UnknownExploiter,
     UnknownModifier,
 )
-from .fuzzy import DEFAULT_TOL, check_degree, check_tolerance, format_number
+from .fuzzy import DEFAULT_TOL, as_float, check_degree, check_tolerance, format_number
 from .model import (
     Absent,
     ClassSpec,
@@ -54,7 +54,7 @@ _ENDPOINT_RULES = {
 RELATION_KINDS = tuple(_ENDPOINT_RULES)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Relation:
     source: str
     target: str
@@ -64,9 +64,9 @@ class Relation:
     def __post_init__(self):
         if self.kind not in RELATION_KINDS:
             raise KindMismatch(f"unknown relation kind {self.kind!r}")
-        degree = check_degree(self.degree, "relation degree")
-        if type(self.degree) is not float:  # a document would write back 1 or true
-            object.__setattr__(self, "degree", degree)
+        if type(self.degree) is not float:  # a document would write back 1
+            object.__setattr__(self, "degree", as_float(self.degree))
+        check_degree(self.degree, "relation degree")
 
     def __str__(self):
         text = f"{self.source} {self.kind} {self.target}"
@@ -75,7 +75,7 @@ class Relation:
         return text
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Witness:
     """One reason a network is fuzzy."""
 
@@ -84,7 +84,7 @@ class Witness:
     details: tuple[str, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ProvenanceRecord:
     seq: int
     op: str

@@ -67,6 +67,13 @@ class TestConstruction:
         with pytest.raises(TypeError, match="expected a number"):
             FuzzySet(elements)
 
+    @pytest.mark.parametrize("pairs", [[(True, True)], [("1", "0.5")], [(1.0, "0.5")],
+                                       [(1.0, 0.5), (None, 0.5)]])
+    def test_make_fuzzy_set_refuses_what_is_not_a_number(self, pairs):
+        # True once read as 1/1, and "1" failed inside the merge
+        with pytest.raises(TypeError, match="^expected a number, got "):
+            make_fuzzy_set(pairs)
+
     def test_unit_is_kept(self):
         assert make_fuzzy_set([(1, 1)], "cm").unit == "cm"
 

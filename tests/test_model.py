@@ -1,16 +1,14 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import math
 import pickle
 import re
-import sys
-from dataclasses import replace
 
 import pytest
 
-from foodn import exploiters, expr, fuzzy, model, modifiers, network, serialize
+from foodn import dsl, exploiters, expr, fuzzy, model, modifiers, network, serialize
+from foodn._record import is_record, replace
 from foodn.errors import (
     AbstractValueOnObject,
     DuplicateChange,
@@ -284,9 +282,7 @@ class TestMethods:
         assert (renamed.id, renamed.body) == ("g2", a.body) and renamed != a
         reshaped = replace(a, body="a*n")
         assert reshaped.program((3.0, 2.0)) == 6.0
-        # dataclasses raises ValueError here before Python 3.13, TypeError from 3.13
-        refused = TypeError if sys.version_info >= (3, 13) else ValueError
-        with pytest.raises(refused, match="declared with init=False"):
+        with pytest.raises(TypeError, match="declared with init=False"):
             replace(a, program=b.program)
 
     def test_methods_pickle_and_copy_with_a_working_body(self):
@@ -305,14 +301,14 @@ class TestMethods:
         assert not method_equivalent(a, c)
 
 
-@pytest.mark.parametrize("module", [model, fuzzy, network, expr, modifiers, exploiters],
+@pytest.mark.parametrize("module", [model, fuzzy, network, expr, modifiers, exploiters, dsl],
                          ids=lambda m: m.__name__)
 def test_records_carry_no_instance_dict(module):
-    # slots=True, and slotted bases, so that a network of records keeps no
-    # per-record __dict__
+    # slotted records, and slotted bases, so that a network of records keeps
+    # no per-record __dict__
     records = [
         c for c in vars(module).values()
-        if isinstance(c, type) and c.__module__ == module.__name__ and dataclasses.is_dataclass(c)
+        if isinstance(c, type) and c.__module__ == module.__name__ and is_record(c)
     ]
     assert records
     assert [c.__name__ for c in records if c.__dictoffset__] == []

@@ -85,6 +85,19 @@ class TestConstruction:
         with pytest.raises(Exception):
             net.add_relation("O1", "C1", "instance-of", 1.5)
 
+    @pytest.mark.parametrize("degree", ["0.5", True, None])
+    def test_relation_degree_must_be_a_number(self, degree):
+        # "0.5" once read as 0.5 and True as 1.0; a document refuses both
+        with pytest.raises(TypeError, match="^expected a number, got "):
+            Relation("O1", "C1", "instance-of", degree)
+        net = small_network()
+        with pytest.raises(TypeError, match="^expected a number, got "):
+            net.add_relation("O1", "C1", "instance-of", degree)
+        assert net.relations == []
+
+    def test_an_int_degree_is_read_as_a_float(self):
+        assert type(Relation("O1", "C1", "instance-of", 1).degree) is float
+
     @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
     def test_tolerance_must_be_finite_and_non_negative(self, tol):
         with pytest.raises(ValueError, match="tolerance"):

@@ -7,13 +7,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foodn import fixture_path, load_file
+from foodn._record import replace
 from foodn.errors import (
     DoesNotExist,
     DuplicateName,
