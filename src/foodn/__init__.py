@@ -14,7 +14,6 @@ from .fuzzy import (
     format_fuzzy_set,
     fs_equal,
     make_fuzzy_set,
-    parse_fuzzy_set,
 )
 from .model import (
     Absent,
@@ -48,6 +47,12 @@ def parse_network(text, tol=DEFAULT_TOL):
     from .dsl import parse_network as _parse
 
     return _parse(text, tol)
+
+
+def parse_fuzzy_set(text):
+    from .dsl import parse_fuzzy_set as _parse
+
+    return _parse(text)
 
 
 def fixture_path(name: str):

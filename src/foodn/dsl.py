@@ -57,8 +57,8 @@ from operator import itemgetter
 
 from ._gc import collector_paused
 from ._record import record
-from .errors import DslError, FoodnError
-from .fuzzy import DEFAULT_TOL, make_fuzzy_set
+from .errors import DslError, EvaluationError, FoodnError
+from .fuzzy import DEFAULT_TOL, FuzzySet, make_fuzzy_set
 from .model import (
     Absent,
     Binding,
@@ -630,3 +630,18 @@ def parse_network(text: str, tol: float = DEFAULT_TOL):
     if errors:
         raise DslError(errors)
     return net, [d for d in diags if d.severity == "warning"]
+
+
+def parse_fuzzy_set(text: str) -> FuzzySet:
+    """Read *text*, such as ``{2/1} cm``, as one .foodn fuzzy set, or raise EvaluationError."""
+    parser = _Parser(text)
+    try:
+        if parser.tokens[0] != "{":
+            parser.unexpected("a fuzzy set")
+        fs = parser.value().value
+        parser.expect("", "the end of the text")
+    except _Bail:
+        pass
+    if parser.diags:
+        raise EvaluationError(str(parser.diags[0]))
+    return fs

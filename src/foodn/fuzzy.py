@@ -6,14 +6,12 @@ supports strictly increasing and degrees in (0, 1]; an element with zero
 degree is simply not a member.  Building a set merges only equal supports;
 a tolerance applies only where values are compared and in the kernel's
 merge.  There is no pointwise union or intersection of sets.  The text form
+is `.foodn` value syntax, read back by ``dsl.parse_fuzzy_set``:
 
     {1.8/0.9 + 2/1 + 2.1/0.95} cm
 
-round-trips exactly through :func:`format_fuzzy_set` / :func:`parse_fuzzy_set`
-for every finite support, including ``1e+16`` and beyond, when the unit is
-None or an ASCII letter or ``_`` followed by ASCII letters, digits and
-``_^*/``.  A set in any other unit, such as ``"km h"`` or ``"é"``, formats
-but does not parse, and an empty unit parses back as None.
+Every set the constructors accept round-trips through it exactly.  A unit
+cannot hold a line feed, and one that is not an identifier is quoted.
 """
 from __future__ import annotations
 
@@ -44,7 +42,7 @@ def t_norm(kind: str):
 
 
 def check_degree(value: float, what: str = "degree") -> float:
-    v = float(value)
+    v = value if type(value) is float else as_float(value)  # hot: once per relation
     if not (0.0 <= v <= 1.0):
         raise DegreeOutOfRange(f"{what} must lie in [0, 1], got {value!r}")
     return v
@@ -60,11 +58,13 @@ def as_float(x) -> float:
 def check_unit(unit):
     if not (unit is None or isinstance(unit, str)):
         raise ValueError(f"a unit must be a string or null, got {unit!r}")
+    if unit and "\n" in unit:  # the one string a .foodn value cannot write
+        raise ValueError(f"a unit cannot hold a line feed, got {unit!r}")
 
 
 def check_tolerance(tol: float) -> float:
-    """A comparison tolerance must be a finite number >= 0; raises ValueError."""
-    t = float(tol)
+    """A comparison tolerance is an int or a float (TypeError), finite and >= 0 (ValueError)."""
+    t = tol if type(tol) is float else as_float(tol)  # hot: once per membership call
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
     return t
@@ -145,7 +145,7 @@ def make_fuzzy_set(pairs, unit: str | None = None) -> FuzzySet:
     int or a float raises TypeError, a degree outside [0, 1]
     DegreeOutOfRange, an empty (or all-zero) input EmptyFuzzySet.
     """
-    pairs = [(as_float(support), check_degree(as_float(degree))) for support, degree in pairs]
+    pairs = [(as_float(support), check_degree(degree)) for support, degree in pairs]
     if not pairs:
         raise EmptyFuzzySet("a fuzzy set needs at least one element")
     merged = merge_pairs(pairs, 0.0)
@@ -164,32 +164,17 @@ def fs_equal(a: FuzzySet, b: FuzzySet, tol: float = DEFAULT_TOL) -> bool:
     )
 
 
+_BARE_UNIT = re.compile(r"[A-Za-z_]\w*(?:\^(?:0|-?[1-9]\d{0,14}))?", re.ASCII)
+
+
+def with_unit(text: str, unit: str | None) -> str:
+    """*text* followed by *unit* as .foodn reads it back: bare if it is an
+    ASCII identifier, optionally with ^ and an integer, else quoted."""
+    if unit is not None and not _BARE_UNIT.fullmatch(unit):
+        unit = '"' + unit.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return text if unit is None else f"{text} {unit}"
+
+
 def format_fuzzy_set(fs: FuzzySet) -> str:
     body = " + ".join(f"{format_number(s)}/{format_number(d)}" for s, d in fs.elements)
-    text = "{" + body + "}"
-    if fs.unit:
-        text += f" {fs.unit}"
-    return text
-
-
-_LITERAL_RE = re.compile(
-    r"^\s*\{\s*(?P<body>[^{}]*?)\s*\}\s*(?P<unit>[A-Za-z_][A-Za-z0-9_^*/]*)?\s*$"
-)
-_NUM = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
-# one element, then the end of the body or a "+" with another element after it
-_ELEMENT_RE = re.compile(rf"\s*(?P<s>{_NUM})\s*/\s*(?P<d>{_NUM})\s*(?:\Z|\+(?=\s*\S))")
-
-
-def parse_fuzzy_set(text: str) -> FuzzySet:
-    """Parse the literal text form, e.g. ``{1.8/0.9 + 2/1} cm``."""
-    m = _LITERAL_RE.match(text)
-    if not m:
-        raise EvaluationError(f"not a fuzzy set literal: {text!r}")
-    body, pos, pairs = m.group("body"), 0, []
-    while not pairs or pos < len(body):
-        em = _ELEMENT_RE.match(body, pos)
-        if not em:
-            raise EvaluationError(f"bad fuzzy set element at {body[pos:]!r}")
-        pairs.append((float(em.group("s")), float(em.group("d"))))
-        pos = em.end()
-    return make_fuzzy_set(pairs, m.group("unit"))
+    return with_unit("{" + body + "}", fs.unit)

@@ -32,6 +32,7 @@ from .fuzzy import (
     format_number,
     fs_equal,
     t_norm,
+    with_unit,
 )
 
 # -- property values ----------------------------------------------------------
@@ -166,16 +167,14 @@ def is_fuzzy_value(value) -> bool:
 def format_value(value) -> str:
     """Human-readable rendering, matching the network text syntax."""
     if isinstance(value, CrispNumber):
-        text = format_number(value.value)
-        return f"{text} {value.unit}" if value.unit else text
+        return with_unit(format_number(value.value), value.unit)
     if isinstance(value, CrispTuple):
-        inner = ", ".join(format_number(v) for v in value.values)
-        return f"({inner}) {value.unit}" if value.unit else f"({inner})"
+        return with_unit("(" + ", ".join(format_number(v) for v in value.values) + ")", value.unit)
     if isinstance(value, Interval):
         open_b = "(" if value.lo_open else "["
         close_b = ")" if value.hi_open else "]"
         text = f"interval{open_b}{format_number(value.lo)}, {format_number(value.hi)}{close_b}"
-        return f"{text} {value.unit}" if value.unit else text
+        return with_unit(text, value.unit)
     if isinstance(value, TruthDegree):
         return f"fuzzy({format_number(value.value)})"
     if isinstance(value, FuzzyMarker):
@@ -259,8 +258,9 @@ class MethodDef:
 
     def __post_init__(self):
         _check_strings("method", id=self.id, semantic=self.semantic, body=self.body)
-        if self.result_unit is not None:
+        if self.result_unit is not None:  # it becomes the unit of a result
             _check_strings("method", result_unit=self.result_unit)
+            check_unit(self.result_unit)
         if not self.id:
             raise ValueError("method id must be non-empty")
         ast = _expr.parse_expr(self.body)
@@ -499,6 +499,7 @@ def membership_degree(obj: FuzzyObject, cls, tnorm: str = "min", tol: float = DE
     The tolerance must be a finite number >= 0 (ValueError otherwise).
     """
     tol = check_tolerance(tol)
+    norm = t_norm(tnorm)  # checked whatever the class
     if isinstance(cls, HeterogeneousClass):
         degrees, mismatch = [], None
         for proj in cls.projections:
@@ -511,7 +512,6 @@ def membership_degree(obj: FuzzyObject, cls, tnorm: str = "min", tol: float = DE
         return max(degrees)
     if cls.mode == "extensional":
         return 1.0 if obj.name in cls.extension else 0.0
-    norm = t_norm(tnorm)
     degree = 1.0
     for cp in cls.specification:
         op = obj.get_property(cp.id)

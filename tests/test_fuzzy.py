@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from foodn.errors import DegreeOutOfRange, EmptyFuzzySet, EmptyInput, EvaluationError
+from foodn import parse_fuzzy_set, parse_network
+from foodn.errors import DegreeOutOfRange, DslError, EmptyFuzzySet, EmptyInput, EvaluationError
 from foodn.evaluator import extend
 from foodn.fuzzy import (
     FuzzySet,
@@ -15,7 +16,6 @@ from foodn.fuzzy import (
     fs_equal,
     make_fuzzy_set,
     merge_pairs,
-    parse_fuzzy_set,
 )
 
 from oracles import oracle_extend, oracle_merge
@@ -144,7 +144,8 @@ class TestText:
         assert fs.unit is None and fs.elements == ((0.5, 1.0),)
 
     def test_parse_rejects_junk(self):
-        for text in ("{1/2/3}", "not a set", "{}", "{1/1 +}", "{+ 1/1}", "{1/1 2/1}", "{1/1 ++ 2/1}"):
+        for text in ("{1/2/3}", "not a set", "{}", "{1/1 +}", "{+ 1/1}", "{1/1 2/1}", "{1/1 ++ 2/1}",
+                     "{1/1} m/s", "{+1/1}", "4 cm", "{1/1} cm extra"):
             with pytest.raises(EvaluationError):
                 parse_fuzzy_set(text)
 
@@ -158,7 +159,11 @@ class TestText:
             min_size=1,
             max_size=5,
         ),
-        st.sampled_from([None, "cm", "cm^2", "m/s"]),
+        st.one_of(
+            st.sampled_from([None, "cm", "cm^2", "m/s", "", "km h", "\u00e9", 'a"b', "\\", "cm^-2",
+                             "cm^02", "fuzzy"]),
+            st.text().filter(lambda unit: "\n" not in unit),  # any unit a set accepts
+        ),
     )
     # repr writes 1e16 and beyond with an exponent sign, which is not a separator
     @example([(1e16, 1.0), (2e16, 0.5)], "cm")
@@ -170,6 +175,24 @@ class TestText:
         assert format_fuzzy_set(parse_fuzzy_set(text)) == text
         assert parse_fuzzy_set(text) == fs
         assert len(fs.elements) == len({s for s, _ in pairs})
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.tuples(st.floats(-1e6, 1e6), st.one_of(st.floats(0.0, 1.0), st.floats(-0.5, 1.5))),
+                 max_size=4),
+        st.sampled_from([" + ", "+", " +\n "]),
+        st.sampled_from(["", " cm", " cm^2", ' "km h"', ' "\u00e9"', " fuzzy", ' "a\\"b"', " m/s"]),
+    )
+    def test_the_text_reads_as_the_dsl_reads_it(self, pairs, plus, unit):
+        text = "{" + plus.join(f"{s!r}/{d!r}" for s, d in pairs) + "}" + unit
+        try:
+            fs = parse_fuzzy_set(text)
+        except (EvaluationError, DegreeOutOfRange, EmptyFuzzySet):
+            with pytest.raises(DslError):
+                parse_network(f'class C {{ property p "P" = {text}; }}')
+            return
+        net, _ = parse_network(f'class C {{ property p "P" = {text}; }}')
+        assert net.classes["C"].specification[0].value.value == fs
 
     def test_format_number(self):
         assert format_number(2.0) == "2"

@@ -137,6 +137,19 @@ class TestValues:
         with pytest.raises(ValueError, match=f"^{message}"):
             make()
 
+    @pytest.mark.parametrize("make", [
+        lambda unit: CrispNumber(1.0, unit),
+        lambda unit: CrispTuple((1.0, 2.0), unit),
+        lambda unit: Interval(0.0, 1.0, unit),
+        lambda unit: fuzzy.FuzzySet(((1.0, 1.0),), unit),
+        lambda unit: make_fuzzy_set([(1.0, 1.0)], unit),
+        lambda unit: MethodDef("f1", "Area", "a", (Binding("a", "p1"),), unit),
+    ], ids=["number", "tuple", "interval", "fuzzy set", "make_fuzzy_set", "method"])
+    def test_a_unit_cannot_hold_a_line_feed(self, make):
+        # the one string the text form cannot write
+        with pytest.raises(ValueError, match="^a unit cannot hold a line feed, got 'cm\\\\n2'$"):
+            make("cm\n2")
+
     def test_sequences_are_stored_as_tuples(self):
         number_pair, fuzzy_pair = CrispTuple([1.0, 2]), FuzzyTuple([FS, FS])
         assert number_pair.values == (1.0, 2.0) and fuzzy_pair.values == (FS, FS)
@@ -190,6 +203,17 @@ class TestValues:
         assert format_value(FuzzyMarker()) == "fuzzy"
         assert format_value(Absent()) == "absent"
         assert format_value(Fuzzy(FS)) == "{1.8/0.9 + 2/1 + 2.1/0.95} cm"
+
+    @pytest.mark.parametrize("value, text", [
+        (CrispNumber(4.0, "m/s"), '4 "m/s"'),
+        (CrispTuple((1.0, 2.0), ""), '(1, 2) ""'),
+        (Interval(0.0, 1.0, 'a"b'), 'interval(0, 1) "a\\"b"'),
+        (CrispNumber(4.0, "cm^-2"), "4 cm^-2"),
+    ])
+    def test_format_value_writes_a_unit_the_dsl_reads_back(self, value, text):
+        assert format_value(value) == text
+        net, _ = parse_network(f'class C {{ property p "P" = {text}; }}')
+        assert net.classes["C"].specification[0].value == value
 
     def test_value_equivalent(self):
         assert value_equivalent(CrispNumber(1.0, "cm"), CrispNumber(1.0 + 1e-12, "cm"), 1e-9)
@@ -564,6 +588,13 @@ class TestMembership:
     def test_product_aggregation(self):
         obj, cls = self.make_pair()
         assert membership_degree(obj, cls, tnorm="product") == pytest.approx(0.8)
+
+    def test_an_unknown_tnorm_is_refused_for_every_class_mode(self):
+        obj, cls = self.make_pair()
+        listed = define_class("L", mode="extensional", extension=("O",))
+        for target in (cls, listed, HeterogeneousClass("U", (listed, cls))):
+            with pytest.raises(EvaluationError, match="unknown t-norm 'bogus'"):
+                membership_degree(obj, target, "bogus")
 
     def test_missing_property_scores_zero(self):
         cls = define_class("T", [

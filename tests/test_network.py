@@ -98,9 +98,11 @@ class TestConstruction:
     def test_an_int_degree_is_read_as_a_float(self):
         assert type(Relation("O1", "C1", "instance-of", 1).degree) is float
 
-    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), "1e-9", True])
     def test_tolerance_must_be_finite_and_non_negative(self, tol):
-        with pytest.raises(ValueError, match="tolerance"):
+        # "1e-9" once read as 1e-09 and True as 1.0; a document refuses both
+        error, message = (ValueError, "tolerance") if type(tol) is float else (TypeError, "^expected a number")
+        with pytest.raises(error, match=message):
             Network(tol)
         assert Network(0.0).tol == 0.0
 
@@ -227,9 +229,11 @@ class TestQueries:
         assert ("Rb1", "T_Rb") not in pairs  # 0.8 is below the bar
         assert ("Sq1", "T_Rb") not in pairs  # membership 0
 
-    @pytest.mark.parametrize("threshold", [float("nan"), 2.0, -0.5, float("inf")])
+    @pytest.mark.parametrize("threshold", [float("nan"), 2.0, -0.5, float("inf"), "0.5", True])
     def test_infer_threshold_must_be_a_degree(self, polygons, threshold):
-        with pytest.raises(DegreeOutOfRange, match="threshold"):
+        error, message = ((DegreeOutOfRange, "threshold") if type(threshold) is float
+                          else (TypeError, "^expected a number"))
+        with pytest.raises(error, match=message):
             polygons.infer_relations(threshold)
 
     def test_infer_scores_only_pairs_that_can_clear_zero(self, monkeypatch):
@@ -358,6 +362,14 @@ class TestExploiterApplication:
         assert polygons.apply_exploiter("clone", ["Rb1"]) == "Rb1_clone2"
         with pytest.raises(NameCollision):
             polygons.apply_exploiter("clone", ["Rb1"], index=1)
+
+    @pytest.mark.parametrize("index", [True, 2.5, "3"])
+    def test_clone_index_must_be_an_int(self, polygons, index):
+        # True once stored Sq1_cloneTrue, and 2.5 Sq1_clone2.5
+        before = dumps(polygons)
+        with pytest.raises(ArityError, match="clone index must be a positive int"):
+            polygons.apply_exploiter("clone", ["Sq1"], index=index)
+        assert dumps(polygons) == before
 
     def test_failed_exploiter_stores_nothing(self, disjoint):
         before = dumps(disjoint)

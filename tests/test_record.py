@@ -151,11 +151,12 @@ def test_replace_keeps_what_it_is_not_given_and_checks_what_it_is():
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_resources():
     # structure, not timing: these modules cost start-up time on every
-    # subcommand, and foodn uses none of them to start
+    # subcommand, and foodn uses none of them to start; foodn.dsl loads
+    # only for a .foodn file or parse_fuzzy_set
     src = str(Path(foodn.__file__).resolve().parent.parent)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONPATH"] = src
-    watched = {"dataclasses", "inspect", "importlib.resources"}
+    watched = {"dataclasses", "inspect", "importlib.resources", "foodn.dsl"}
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          f"import foodn.cli, sys; print(sys.modules['foodn'].__file__); "

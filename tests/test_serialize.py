@@ -409,6 +409,8 @@ class TestNetworkDocs:
         ("value", False, "expected a number, got False"),
         ("tuple component", "90", "expected a number, got '90'"),
         ("fuzzy degree", True, "expected a number, got True"),
+        ("unit", "deg\n", "a unit cannot hold a line feed"),  # the text form could not write it
+        ("fuzzy unit", "c\nm", "a unit cannot hold a line feed"),
     ])
     def test_mistyped_fields_are_corrupt(self, polygons, where, value, message):
         polygons.apply_exploiter("union", ["T_Rb", "T_Sq"])
