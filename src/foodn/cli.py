@@ -9,6 +9,7 @@ number >= 0.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -23,7 +24,7 @@ from .evaluator import eval_method
 from .exploiters import UNIVERSAL_EXPLOITERS
 from .fuzzy import DEFAULT_TOL, FuzzySet, check_tolerance, format_number
 from .model import CrispNumber, Fuzzy, format_value
-from .serialize import encode_json, export_dot, load_file, save_file, value_to_doc
+from .serialize import export_dot, load_file, save_file, value_to_doc
 
 EXPLOITER_ALIASES = {
     **{e.kind: e.kind for e in UNIVERSAL_EXPLOITERS},
@@ -179,7 +180,7 @@ def main(argv=None) -> int:
                 print(f"{args.infile}:{w}", file=sys.stderr)
         doc, lines = args.func(net, args, warnings)
         if getattr(args, "format", None) == "doc":
-            print(encode_json(doc))
+            print(json.dumps(doc, sort_keys=True, indent=2))
         else:
             for line in lines:
                 print(line)

@@ -5,6 +5,7 @@ floor by inspecting the settings attached here.
 """
 from __future__ import annotations
 
+import json
 import math
 import warnings
 
@@ -51,7 +52,7 @@ from foodn.model import (
 )
 from foodn.modifiers import Change, define_modifier
 from foodn.network import RELATION_KINDS, Network
-from foodn.serialize import dumps, entity_to_doc, loads
+from foodn.serialize import dumps, entity_to_doc, loads, to_document
 from oracles import oracle_extend, oracle_infer, oracle_insert, oracle_reach
 
 MANY = settings(max_examples=200, deadline=None)
@@ -311,6 +312,7 @@ def constructed_networks(draw):
 @given(net=constructed_networks())
 def test_what_the_constructors_accept_survives_a_save(net):
     text = dumps(net)
+    assert text == json.dumps(to_document(net), sort_keys=True, indent=2) + "\n"
     assert dumps(loads(text)) == text
 
 

@@ -31,6 +31,8 @@ from foodn.model import (
     define_class,
     define_object,
 )
+from foodn.modifiers import Change, define_modifier
+from foodn.network import Relation
 from foodn.serialize import (
     VALUE_KINDS,
     dumps,
@@ -215,6 +217,10 @@ class TestNetworkDocs:
         del doc["foodn_version"]
         with pytest.raises(SchemaVersionMismatch):
             from_document(doc)
+        for version in (True, 1.0):  # both equal 1, and dumps would write 1
+            doc["foodn_version"] = version
+            with pytest.raises(SchemaVersionMismatch, match=f"unsupported schema version {version!r}"):
+                from_document(doc)
 
     def test_corrupt_documents(self, polygons):
         with pytest.raises(CorruptDocument, match="not valid JSON"):
@@ -550,56 +556,144 @@ EDGE_INTS = [2**53 + 1, -(2**63), 10**30, 0, -1]
 # CJK and a character outside the BMP
 EDGE_CHARS = '"\\/\x00\x08\t\n\r\x1f\x7f a\u00e9\u2028\u4e2d\U0001f600'
 strings = st.text(alphabet=st.sampled_from(EDGE_CHARS), max_size=6) | st.text(max_size=6)
-leaves = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.sampled_from(EDGE_INTS),
-    st.floats(),
-    st.sampled_from(EDGE_FLOATS),
-    strings,
-)
-json_trees = st.recursive(
-    leaves,
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(strings, children, max_size=4),
+
+# the finite floats whose shortest texts are least alike: a negative zero, the
+# smallest subnormal, two exponent forms and a decimal fraction
+EDGE_NUMBERS = [-0.0, 5e-324, 1e16, 1e300, 0.1]
+
+
+def edge_network(text: str, numbers) -> Network:
+    """A network that puts *text* into every kind of string a document holds
+    and each float of *numbers* into every kind of float: a unit takes *text*
+    without its line feeds, a method body only its spaces, a degree only the
+    numbers in [0, 1].  It also holds an open and a closed interval, a fuzzy
+    tuple, a fuzzy marker, an absent value, an extensional class, a
+    heterogeneous class made by a class union, a sym-difference whose ids
+    carry @owner, a modifier with a target class and one without, and an
+    empty history."""
+    unit = text.replace("\n", "")
+    body = "".join(c for c in text if c.isspace()) + "a"
+    degrees = [x for x in numbers if 0.0 <= x <= 1.0]
+    positive = [x for x in degrees if x > 0.0] or [1.0]
+    fs = make_fuzzy_set([(x, positive[k % len(positive)]) for k, x in enumerate(numbers)], unit)
+    x = numbers[0]
+    values = [
+        CrispNumber(x, unit),
+        CrispTuple(tuple(numbers), unit),
+        Interval(x, math.nextafter(x, math.inf), unit),
+        Interval(x, math.nextafter(x, math.inf), unit, False, False),
+        Fuzzy(fs),
+        FuzzyTuple((fs, fs)),
+    ] + [TruthDegree(d) for d in degrees]
+    props = [Property(f"p{k}{text}", "s" + text, v) for k, v in enumerate(values)]
+    methods = [
+        MethodDef("m" + text, "s" + text, body, (Binding("a", props[0].id),), unit),
+        MethodDef("n" + text, "s" + text, "b", (Binding("b", props[1].id, "component", 1),)),
+    ]
+    a = define_class("A" + text, props, methods)
+    b = define_class("B" + text, [Property(props[0].id, "s" + text, FuzzyMarker()),
+                                  Property("q" + text, "s" + text, Absent())])
+    e = define_class("E" + text, mode="extensional", extension=["O" + text])
+    obj = define_object("O" + text, props, methods, a.name)
+    net = Network()
+    for entity in (a, b, e, obj):
+        net.add(entity)
+    for cls, degree in zip((a, b, e), degrees):
+        net.add_relation(obj.name, cls.name, "instance-of", degree)
+    net.apply_exploiter("union", [a.name, b.name])
+    net.apply_exploiter("sym-difference", [a.name, b.name])
+    change = Change(props[0].id, values[0], CrispNumber(-x if x else 1.0, unit))
+    net.register_modifier(define_modifier("M" + text, "object", obj.name, "R" + text, [change]))
+    net.register_modifier(define_modifier("T" + text, "object", obj.name, "S" + text, [change], a.name))
+    return net
+
+
+def with_seq(net: Network, seq: int) -> Network:
+    """*net* loaded from its document with the first provenance seq set to *seq*."""
+    doc = to_document(net)
+    doc["provenance"][0]["seq"] = seq
+    return from_document(doc)
+
+
+def _class_values(doc) -> list:
+    return [p["value"] for c in doc["classes"] for p in c.get("properties", ())]
+
+
+# part of an edge network's document -> one dict of that part in it
+DOCUMENT_PARTS = {
+    "network": lambda doc: doc,
+    "object": lambda doc: doc["objects"][0],
+    "class": lambda doc: next(c for c in doc["classes"] if c["kind"] == "class"),
+    "heterogeneous class": lambda doc: next(
+        c for c in doc["classes"] if c["kind"] == "heterogeneous-class"
     ),
-    max_leaves=40,
-)
+    "property": lambda doc: doc["objects"][0]["properties"][0],
+    "fuzzy set": lambda doc: next(
+        v for v in _class_values(doc) if v["kind"] == "fuzzy-tuple"
+    )["values"][0],
+    "method": lambda doc: doc["objects"][0]["methods"][0],
+    "binding": lambda doc: doc["objects"][0]["methods"][0]["bindings"][0],
+    "relation": lambda doc: doc["relations"][0],
+    "modifier": lambda doc: doc["modifiers"][0],
+    "change": lambda doc: doc["modifiers"][0]["changes"][0],
+    "provenance": lambda doc: doc["provenance"][0],
+    "exploiter": lambda doc: doc["exploiters"][0],
+    **{
+        f"{kind} value": lambda doc, kind=kind: next(v for v in _class_values(doc) if v["kind"] == kind)
+        for kind in VALUE_KINDS
+    },
+}
 
 
 class TestEmitter:
-    """serialize._emit_json against the stdlib encoder it replaces; called
-    directly, so it is checked on every interpreter, not only below 3.13."""
+    """Every leaf a document can hold is written as json.dumps writes it, in
+    every slot of its type; a float that JSON has no number for never gets
+    into a document."""
 
     @settings(max_examples=300, deadline=None)
-    @given(tree=json_trees)
-    def test_matches_stdlib_json(self, tree):
-        assert serialize._emit_json(tree) == stdlib_json(tree)
+    @given(
+        text=strings,
+        numbers=st.lists(st.floats(-1e308, 1e308), min_size=1, max_size=4),
+    )
+    def test_matches_stdlib_json(self, text, numbers):
+        TestDumpsBytes.check(edge_network(text, numbers))
 
     @pytest.mark.parametrize("leaf", EDGE_FLOATS + EDGE_INTS + [True, False, None, "", EDGE_CHARS])
     def test_edge_leaves(self, leaf):
-        for doc in (leaf, [leaf], {"k": leaf}, {"a": [leaf, {EDGE_CHARS: (leaf,)}], "": {}}):
-            assert serialize._emit_json(doc) == stdlib_json(doc)
-
-    @pytest.mark.parametrize(
-        "doc",
-        [{1, 2}, object(), {1: "a"}, [{"a": {(1, 2): 0}}], {"a": [b"bytes"]}],
-        ids=["set", "object", "int-key", "nested-tuple-key", "bytes"],
-    )
-    def test_other_types_are_refused(self, doc):
-        with pytest.raises(TypeError):
-            serialize._emit_json(doc)
+        if type(leaf) is float and not math.isfinite(leaf):
+            for build in (
+                CrispNumber,
+                lambda v: CrispTuple((1.0, v)),
+                lambda v: Interval(v, 1.0),
+                lambda v: Interval(0.0, v),
+                TruthDegree,
+                lambda v: FuzzySet(((v, 1.0),)),
+                lambda v: FuzzySet(((0.0, v),)),
+                lambda v: Relation("a", "b", "is-a", v),
+            ):
+                with pytest.raises((ValueError, FoodnError)):
+                    build(leaf)
+            return
+        if type(leaf) is str:
+            net = edge_network(leaf, EDGE_NUMBERS)
+        elif type(leaf) is float:
+            net = edge_network("", [leaf])
+        elif type(leaf) is int:
+            net = with_seq(edge_network("", EDGE_NUMBERS), leaf)
+        else:  # true, false and null are in every edge network
+            net = edge_network("", EDGE_NUMBERS)
+        text = TestDumpsBytes.check(net)
+        assert (json.dumps(leaf)[1:-1] if type(leaf) is str else json.dumps(leaf)) in text
 
 
 class TestDumpsBytes:
-    """dumps writes exactly what json.dumps(sort_keys=True, indent=2) writes,
-    whichever encoder the interpreter selected."""
+    """dumps writes exactly what json.dumps(sort_keys=True, indent=2) writes."""
 
-    def check(self, net):
-        assert dumps(net) == stdlib_json(to_document(net)) + "\n"
+    @staticmethod
+    def check(net) -> str:
+        text = dumps(net)
+        assert text == stdlib_json(to_document(net)) + "\n"
+        return text
 
     def test_fixtures(self, polygons, disjoint):
         self.check(polygons)
@@ -615,6 +709,33 @@ class TestDumpsBytes:
 
     def test_generated_network(self):
         self.check(generated_network(300))
+
+    def test_edge_network(self):
+        net = with_seq(edge_network(EDGE_CHARS, EDGE_NUMBERS), 2**70)
+        doc = to_document(net)
+        assert doc["history"] == {} and doc["provenance"][0]["seq"] == 2**70
+        kinds = {c["kind"] for c in doc["classes"]}
+        assert kinds == {"class", "heterogeneous-class"}
+        assert any("@" in p["id"] for c in doc["classes"] for p in c.get("properties", ()))
+        assert sorted(m["target_class"] is None for m in doc["modifiers"]) == [False, True]
+        self.check(net)
+        net.apply_modifier("M" + EDGE_CHARS, "O" + EDGE_CHARS)
+        assert net.history == {"O" + EDGE_CHARS: "object"}
+        self.check(net)
+
+    @pytest.mark.parametrize("part", sorted(DOCUMENT_PARTS))
+    def test_a_key_the_writer_does_not_know_fails_dumps(self, part, monkeypatch):
+        built = serialize.to_document
+
+        def with_a_new_key(net):
+            doc = built(net)
+            DOCUMENT_PARTS[part](doc)["new_key"] = None
+            return doc
+
+        net = edge_network("", EDGE_NUMBERS)
+        monkeypatch.setattr(serialize, "to_document", with_a_new_key)
+        with pytest.raises(ValueError, match="the JSON writer has no .* document with keys"):
+            dumps(net)
 
     def test_failed_save_keeps_the_file(self, polygons, tmp_path, monkeypatch):
         path = tmp_path / "net.json"
