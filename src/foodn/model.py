@@ -13,7 +13,7 @@ import math
 from collections.abc import Callable
 
 from . import expr as _expr
-from ._record import COMPUTED, record
+from ._record import COMPUTED, record, replace
 from .errors import (
     AbstractValueOnObject,
     DuplicateId,
@@ -165,7 +165,9 @@ def is_fuzzy_value(value) -> bool:
 
 
 def format_value(value) -> str:
-    """Human-readable rendering, matching the network text syntax."""
+    """Text in the network syntax, which reads back every value the .foodn
+    parser builds; a one-component tuple, and a fuzzy tuple whose components
+    carry different units (each written with its own), have no .foodn text."""
     if isinstance(value, CrispNumber):
         return with_unit(format_number(value.value), value.unit)
     if isinstance(value, CrispTuple):
@@ -184,7 +186,11 @@ def format_value(value) -> str:
     if isinstance(value, Fuzzy):
         return format_fuzzy_set(value.value)
     if isinstance(value, FuzzyTuple):
-        return "(" + ", ".join(format_fuzzy_set(fs) for fs in value.values) + ")"
+        unit = value.values[0].unit
+        if all(fs.unit == unit for fs in value.values):  # .foodn reads one unit, after the ")"
+            sets = ", ".join(format_fuzzy_set(replace(fs, unit=None)) for fs in value.values)
+            return with_unit(f"({sets})", unit)
+        return "(" + ", ".join(map(format_fuzzy_set, value.values)) + ")"
     raise TypeError(f"not a property value: {value!r}")
 
 
@@ -324,12 +330,15 @@ def property_equivalent(a: Property, b: Property, tol: float) -> bool:
     return a.semantic == b.semantic and value_equivalent(a.value, b.value, tol)
 
 
-def compat_degree(obj_prop: Property, class_prop: Property, tol: float = DEFAULT_TOL) -> float:
-    """Degree to which an object's property satisfies a class's property.
-
-    Raises SemanticMismatch when the two describe different things; the
-    caller is expected to pair properties by id within one vocabulary.
+def compat_degree(obj_prop: Property | None, class_prop: Property, tol: float = DEFAULT_TOL) -> float:
+    """Degree to which an object's property satisfies a class's property:
+    one term of membership_degree.  A property the object lacks (None)
+    scores 1 if the class marks it absent, else 0.  Raises SemanticMismatch
+    when the two describe different things; the caller is expected to pair
+    properties by id within one vocabulary.
     """
+    if obj_prop is None:
+        return 1.0 if isinstance(class_prop.value, Absent) else 0.0
     if obj_prop.semantic != class_prop.semantic:
         raise SemanticMismatch(
             f"property {obj_prop.id}: {obj_prop.semantic!r} vs {class_prop.semantic!r}"
@@ -490,9 +499,9 @@ def is_fuzzy_entity(entity) -> tuple[bool, tuple[str, ...]]:
 def membership_degree(obj: FuzzyObject, cls, tnorm: str = "min", tol: float = DEFAULT_TOL) -> float:
     """Graded membership of an object in a class.
 
-    Intensional classes aggregate per-property compatibility with the chosen
-    t-norm; a class property missing from the object scores 0 unless the
-    class marks it absent.  Extensional classes test the member list.
+    Intensional classes aggregate per-property compatibility (compat_degree,
+    which also scores a class property missing from the object) with the
+    chosen t-norm.  Extensional classes test the member list.
     Heterogeneous classes take the best projection; a projection whose
     vocabulary does not match the object's (SemanticMismatch) counts 0, and
     the first mismatch is raised only when every projection mismatches.
@@ -514,12 +523,7 @@ def membership_degree(obj: FuzzyObject, cls, tnorm: str = "min", tol: float = DE
         return 1.0 if obj.name in cls.extension else 0.0
     degree = 1.0
     for cp in cls.specification:
-        op = obj.get_property(cp.id)
-        if op is None:
-            d = 1.0 if isinstance(cp.value, Absent) else 0.0
-        else:
-            d = compat_degree(op, cp, tol)
-        degree = norm(degree, d)
+        degree = norm(degree, compat_degree(obj.get_property(cp.id), cp, tol))
     return degree
 
 

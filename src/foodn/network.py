@@ -93,18 +93,6 @@ class ProvenanceRecord:
     changes: tuple = ()
 
 
-def _term_degree(own: dict[str, Property], class_prop: Property, tol: float) -> float:
-    """One term of membership_degree for an object whose properties are
-    *own*, by id; a SemanticMismatch scores 0."""
-    obj_prop = own.get(class_prop.id)
-    if obj_prop is None:
-        return 1.0 if isinstance(class_prop.value, Absent) else 0.0
-    try:
-        return compat_degree(obj_prop, class_prop, tol)
-    except SemanticMismatch:
-        return 0.0
-
-
 class Network:
     """A fuzzy object-oriented dynamic network."""
 
@@ -289,9 +277,10 @@ class Network:
         property ids.  Extensional and heterogeneous classes are always
         scored, through membership_degree.
 
-        Intensional classes are scored here, under membership_degree's min
-        t-norm.  Each distinct class property is numbered once per call and
-        scored at most once per object, into that object's table.  Min is
+        Intensional classes are scored here, term by term with compat_degree
+        under membership_degree's min t-norm.  Each distinct class property
+        is numbered once per call and scored at most once per object, into
+        that object's table, where a SemanticMismatch stores 0.  Min is
         order-free and 0 absorbs it, so a class stops at its first term
         that scores 0 or raises SemanticMismatch: neither can be proposed.
         """
@@ -331,7 +320,12 @@ class Network:
                     for t in terms:
                         d = table[t]
                         if d is None:
-                            d = table[t] = _term_degree(own, class_props[t], self.tol)
+                            cp = class_props[t]
+                            try:
+                                d = compat_degree(own.get(cp.id), cp, self.tol)
+                            except SemanticMismatch:
+                                d = 0.0
+                            table[t] = d
                         if d < degree:
                             degree = d
                             if degree == 0.0:

@@ -14,7 +14,7 @@ from json.encoder import encode_basestring_ascii as _str
 
 from ._gc import collector_paused
 from .errors import CorruptDocument, FoodnError, SchemaVersionMismatch
-from .fuzzy import DEFAULT_TOL, FuzzySet, as_float, format_number
+from .fuzzy import DEFAULT_TOL, FuzzySet, format_number
 from .model import (
     Absent,
     Binding,
@@ -76,6 +76,14 @@ def _record_doc(record, **docs) -> dict:
     return docs
 
 
+def _record_from(record, doc, **fields):
+    """*record* from *fields* and every other field of *doc* by name; mirrors _record_doc."""
+    for name in record.__match_args__:
+        if name not in fields:
+            fields[name] = doc[name]
+    return record(**fields)
+
+
 def value_to_doc(value) -> dict:
     kind = _KIND_OF.get(type(value))
     if kind is None:
@@ -110,7 +118,7 @@ def _value_from(doc):
     record = VALUE_KINDS.get(kind) if isinstance(kind, str) else None
     if record is None:
         raise CorruptDocument(f"unknown value kind {kind!r}")
-    return record(*map(doc.__getitem__, record.__match_args__))
+    return _record_from(record, doc)
 
 
 # -- entities -----------------------------------------------------------------
@@ -199,7 +207,7 @@ def _change_doc(c: Change) -> dict:
 
 
 def _change_from(doc) -> Change:
-    return Change(doc["prop"], _value_from(doc["before"]), _value_from(doc["after"]))
+    return _record_from(Change, doc, before=_value_from(doc["before"]), after=_value_from(doc["after"]))
 
 
 def to_document(net: Network) -> dict:
@@ -256,18 +264,10 @@ def _network_from(doc, tol: float) -> Network:
     for edoc in doc["objects"]:
         net.add(_entity_from(edoc, methods))
     for rdoc in doc["relations"]:
-        net.add_relation(rdoc["source"], rdoc["target"], rdoc["kind"], as_float(rdoc["degree"]))
+        net.add_relation(*map(rdoc.__getitem__, Relation.__match_args__))
     for mdoc in doc["modifiers"]:
-        net.register_modifier(
-            Modifier(
-                mdoc["name"],
-                mdoc["level"],
-                mdoc["source"],
-                mdoc["target_name"],
-                tuple(_change_from(c) for c in mdoc["changes"]),
-                mdoc["target_class"],
-            )
-        )
+        changes = tuple(map(_change_from, mdoc["changes"]))
+        net.register_modifier(_record_from(Modifier, mdoc, changes=changes))
     for pdoc in doc["provenance"]:
         net.provenance.append(_provenance_from(pdoc))
     return net
@@ -288,14 +288,12 @@ def _history_from(history) -> dict:
 def _provenance_from(doc) -> ProvenanceRecord:
     # checked here, not in ProvenanceRecord, which the network builds from
     # names it already holds on every exploiter and modifier it applies
-    seq, op, sources, target = doc["seq"], doc["op"], doc["sources"], doc["target"]
-    if isinstance(seq, bool) or not isinstance(seq, int):
-        raise ValueError(f"provenance seq must be a finite integer, got {seq!r}")
-    sources = _names_from(sources, "provenance", "sources", "source")
-    _check_strings("provenance", op=op, target=target)
-    return ProvenanceRecord(
-        seq, op, sources, target, tuple(_change_from(c) for c in doc["changes"])
-    )
+    if isinstance(doc["seq"], bool) or not isinstance(doc["seq"], int):
+        raise ValueError(f"provenance seq must be a finite integer, got {doc['seq']!r}")
+    sources = _names_from(doc["sources"], "provenance", "sources", "source")
+    _check_strings("provenance", op=doc["op"], target=doc["target"])
+    changes = tuple(map(_change_from, doc["changes"]))
+    return _record_from(ProvenanceRecord, doc, sources=sources, changes=changes)
 
 
 def _names_from(names, owner: str, field: str, item: str) -> tuple:

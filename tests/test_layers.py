@@ -1,5 +1,7 @@
 """The module layering the engine keeps: fuzzy sets sit below everything
-that evaluates them, so no import cycle can form through them."""
+that evaluates them, so no import cycle can form through them, and the
+engine (values, entities, modifiers, exploiters, the network) sits below
+the readers, the writers, the evaluator and the command line."""
 from __future__ import annotations
 
 import ast
@@ -35,6 +37,15 @@ def foodn_imports(path: Path) -> set[str]:
     ("_record", set()),
 ])
 def test_low_layers_import_nothing_above_them(module, allowed):
+    assert foodn_imports(SRC / f"{module}.py") <= allowed
+
+
+@pytest.mark.parametrize("module,allowed", [
+    ("modifiers", {"errors", "model", "_record"}),
+    ("exploiters", {"errors", "fuzzy", "model", "_record"}),
+    ("network", {"errors", "fuzzy", "model", "modifiers", "exploiters", "_record"}),
+])
+def test_engine_layers_import_no_reader_writer_or_evaluator(module, allowed):
     assert foodn_imports(SRC / f"{module}.py") <= allowed
 
 

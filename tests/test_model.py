@@ -215,6 +215,30 @@ class TestValues:
         net, _ = parse_network(f'class C {{ property p "P" = {text}; }}')
         assert net.classes["C"].specification[0].value == value
 
+    @pytest.mark.parametrize("text", [
+        "4", "4 cm", '4 "m/s"', "4 cm^-2", "-0.5 deg",
+        "(95, 85) deg", "(1, 2, 3)", "[4 cm] * 3",
+        "interval(80, 100) deg", "interval[0, 1)", "interval(0, 1]", "interval[-1, 1] m",
+        "fuzzy(0.8)", "fuzzy(1)", "fuzzy", "absent",
+        "{1.8/0.9 + 2/1 + 2.1/0.95} cm", "{1/1}", '{1/1} "km h"',
+        "[{2.7/0.85 + 3/1} cm] * 3", "[{1/1}] * 2",
+        "({1/1}, {2/0.5}) cm", "({1/1}, {2/0.5})", '({1/1}, {2/1 + 3/0.5}) "m/s"',
+    ])
+    def test_format_value_reads_back_every_value_the_dsl_builds(self, text):
+        def parsed(text):
+            net, _ = parse_network(f'class C {{ property p "P" = {text}; }}')
+            return net.classes["C"].specification[0].value
+
+        value = parsed(text)
+        assert parsed(format_value(value)) == value
+
+    def test_format_value_writes_one_unit_after_a_fuzzy_tuple(self):
+        one, two = make_fuzzy_set([(1.0, 1.0)], "cm"), make_fuzzy_set([(2.0, 1.0)], "cm")
+        assert format_value(FuzzyTuple((one, two))) == "({1/1}, {2/1}) cm"
+        # components in different units have no .foodn text; each keeps its own
+        other = make_fuzzy_set([(2.0, 1.0)], "mm")
+        assert format_value(FuzzyTuple((one, other))) == "({1/1} cm, {2/1} mm)"
+
     def test_value_equivalent(self):
         assert value_equivalent(CrispNumber(1.0, "cm"), CrispNumber(1.0 + 1e-12, "cm"), 1e-9)
         assert not value_equivalent(CrispNumber(1.0, "cm"), CrispNumber(1.0, "m"), 1e-9)
@@ -483,6 +507,13 @@ def test_compat_degree_table(obj_value, class_value):
         prop("q", "S", TABLE_CLASS_VALUES[class_value]),
     )
     assert degree == TABLE_NONZERO.get((obj_value, class_value), 0.0)
+
+
+@pytest.mark.parametrize("class_value", TABLE_CLASS_VALUES)
+def test_compat_degree_scores_a_missing_property(class_value):
+    # a missing property has no semantic, so it cannot mismatch
+    degree = compat_degree(None, prop("q", "S", TABLE_CLASS_VALUES[class_value]))
+    assert degree == (1.0 if class_value == "absent" else 0.0)
 
 
 class TestEntities:

@@ -249,7 +249,8 @@ class TestQueries:
         compared, scored = [], []
 
         def comparing(obj_prop, class_prop, *args):
-            compared.append((obj_prop, class_prop))
+            if obj_prop is not None:  # a missing property is scored, not compared
+                compared.append((obj_prop, class_prop))
             return compat_degree(obj_prop, class_prop, *args)
 
         def counting(obj, cls, *args):
