@@ -28,6 +28,9 @@ CASES = [
     ("mixed trig, 2 vars x 60", "a^2*sin(b)", 2, 60),
     ("polynomial, 3 vars x 25", "a*b + b*c + a*c", 3, 25),
     ("deep, 4 vars x 12", "sqrt(a^2 + b^2) * (c + d)", 4, 12),
+    # two variable-disjoint halves each: what a factorizing planner would split
+    ("sum of products, 4 vars x 12", "a*b + c*d", 4, 12),
+    ("product of sums, 4 vars x 12", "(a+b)*(c+d)", 4, 12),
 ]
 
 

@@ -2,8 +2,10 @@
 
 Runs a compiled body (one generated function of the slot values, see
 ``expr.compile_program``) over every combination of the variables'
-supports, with only C builtins around it, taking the min of the degrees per
-combination and the max over outputs that coincide within the tolerance.
+supports, with only C builtins around it.  The min of the degrees per
+combination is taken one column at a time, lazily and in the product's
+order, and ``fuzzy.merge_pairs`` keeps the max over outputs that coincide
+within the tolerance; its canonical pairs are the result.
 ``evaluator.extend`` runs on the same loop.
 """
 from __future__ import annotations
@@ -21,7 +23,7 @@ def eval_program(program, supports, degrees, tol):
     """Enumerate *program* over fuzzy variables.
 
     *supports* and *degrees* are parallel per-variable sequences of floats.
-    Returns (values, degrees) lists in canonical order.
+    Returns ``merge_pairs``' tuple of (support, degree) float pairs.
     """
     total = 1
     for column in supports:
@@ -30,8 +32,6 @@ def eval_program(program, supports, degrees, tol):
         total *= len(column)
     if total > MAX_COMBINATIONS:
         raise EvaluationError(f"{total} support combinations exceed the enumeration limit")
-    # a body without variables is one crisp value at degree 1
-    mins = map(min, product(*degrees)) if degrees else (1.0,)
     try:
         values = list(map(program, product(*supports)))
     except ZeroDivisionError as exc:
@@ -40,6 +40,14 @@ def eval_program(program, supports, degrees, tol):
         raise EvaluationError(f"evaluation failed at a support combination: {exc}") from exc
     if not all(map(math.isfinite, values)):
         raise EvaluationError("non-finite result at a support combination")
-    merged = merge_pairs(zip(values, mins), tol)
-    values, degrees = zip(*merged) if merged else ((), ())
-    return list(values), list(degrees)
+    # a body without variables is one crisp value at degree 1
+    mins, *rest = degrees or [(1.0,)]
+    for column in rest:
+        mins = _min_with(mins, column)
+    return merge_pairs(zip(values, mins), tol)
+
+
+def _min_with(mins, column):
+    """The min of each of *mins* with each degree of *column*, in product
+    order and lazily, so that no list of mins is held."""
+    return (a if a <= b else b for a in mins for b in column)

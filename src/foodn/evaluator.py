@@ -86,7 +86,7 @@ def _fold_sum(parts, tol: float):
     supports, degrees = _column(parts[0])
     for part in parts[1:]:
         s, d = _column(part)
-        supports, degrees = _kernel.eval_program(_ADD, [supports, s], [degrees, d], tol)
+        supports, degrees = zip(*_kernel.eval_program(_ADD, [supports, s], [degrees, d], tol))
     return supports, degrees
 
 
@@ -104,8 +104,8 @@ def _extend(program, inputs, tol: float, unit: str | None = None):
         supports.append(s)
         degrees.append(d)
 
-    values, degs = _kernel.eval_program(program, supports, degrees, tol)
-    return FuzzySet(tuple(zip(values, degs)), unit) if any_fuzzy else values[0]
+    pairs = _kernel.eval_program(program, supports, degrees, tol)
+    return FuzzySet(pairs, unit) if any_fuzzy else pairs[0][0]
 
 
 def evaluate_method(entity, method: MethodDef, tol: float = DEFAULT_TOL):

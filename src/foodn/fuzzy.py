@@ -86,8 +86,9 @@ def merge_pairs(pairs, tol: float):
     zero-degree elements.  Returns a tuple of float pairs in canonical order.
     """
     merged, first = [], -math.inf  # first: the first support of the current run
-    # sorted, a dict keeps the first of equal supports and the last (max) degree
-    for pair in dict(sorted(pairs)).items():
+    # sorted, equal supports are adjacent and fall in one run (0 <= tol), which
+    # keeps the first of them (the one with the lowest degree) at the max degree
+    for pair in sorted(pairs):
         if pair[0] - first <= tol:
             if pair[1] > merged[-1][1]:
                 merged[-1] = (first, pair[1])

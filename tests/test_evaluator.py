@@ -239,6 +239,6 @@ class TestCompiledOnce:
         method = obj.get_method("g2")
         seen = []
         monkeypatch.setattr(evaluator._kernel, "eval_program",
-                            lambda program, *rest: seen.append(program) or ([1.0], [1.0]))
+                            lambda program, *rest: seen.append(program) or ((1.0, 1.0),))
         evaluate_method(obj, method)
         assert seen == [method.program]

@@ -27,9 +27,9 @@ def crisp(expr_text, **values):
     program = compile_program(ast, slots)
     supports = [[float(values[name])] for name in values]
     degrees = [[1.0] for _ in values]
-    out, degs = eval_program(program, supports, degrees, 1e-9)
-    assert degs == [1.0]
-    return out[0]
+    pairs = eval_program(program, supports, degrees, 1e-9)
+    assert [degree for _, degree in pairs] == [1.0]
+    return pairs[0][0]
 
 
 class TestParsing:

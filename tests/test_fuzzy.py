@@ -214,8 +214,11 @@ DEGREES = [0.0, 0.0, 0.25, 0.5, 0.9, 1.0]
 @given(
     pairs=st.lists(
         st.tuples(
-            st.one_of(st.sampled_from(SUPPORTS), st.integers(-60, 60).map(lambda n: n / 20)),
-            st.one_of(st.sampled_from(DEGREES), st.integers(0, 1000).map(lambda n: n / 1000)),
+            # ints too: an extend function may return one, and degrees 0 and 1 may be ints
+            st.one_of(st.sampled_from(SUPPORTS), st.integers(-60, 60).map(lambda n: n / 20),
+                      st.integers(-3, 8)),
+            st.one_of(st.sampled_from(DEGREES), st.integers(0, 1000).map(lambda n: n / 1000),
+                      st.integers(0, 1)),
         ),
         max_size=30,
     ),
@@ -227,6 +230,12 @@ def test_merge_pairs_matches_the_pair_loop_bit_for_bit(pairs, tol):
     pairs = pairs + pairs[: len(pairs) // 2]  # every other pair at least twice
     hexed = lambda merged: [(s.hex(), d.hex()) for s, d in merged]  # noqa: E731
     assert hexed(merge_pairs(pairs, tol)) == hexed(oracle_merge(pairs, tol))
+
+
+def test_merge_pairs_keeps_the_first_of_tied_supports_at_the_max_degree():
+    # 0.0 == -0.0: sorted, (-0.0, 0.25) comes first and its support stands for both
+    merged = merge_pairs([(0.0, 0.5), (-0.0, 0.25)], 0.0)
+    assert [(s.hex(), d.hex()) for s, d in merged] == [((-0.0).hex(), (0.5).hex())]
 
 
 def test_merge_pairs_groups_by_run_representative():

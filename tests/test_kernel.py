@@ -50,6 +50,7 @@ EXPRESSIONS = [
     ("a^2*sin(b)", ("a", "b"), lambda a, b: math.pow(a, 2) * sin_deg(b)),
     ("cos(a)+sqrt(b*b)", ("a", "b"), lambda a, b: cos_deg(a) + math.sqrt(b * b)),
     ("-a+2", ("a",), lambda a: -a + 2),
+    ("a*b + c*d", ("a", "b", "c", "d"), lambda a, b, c, d: a * b + c * d),
 ]
 
 
@@ -63,15 +64,15 @@ class TestParity:
         prog = program_for(text, names)
         columns = [data.draw(column) for _ in names]
         try:
-            values, degs = run(prog, columns)
+            pairs = run(prog, columns)
         except EvaluationError:
             # the only failure these bodies can meet is a zero divisor
             with pytest.raises(ZeroDivisionError):
                 oracle_extend(f, columns)
             return
         expected = oracle_extend(f, columns)
-        assert len(values) == len(expected)
-        for got, degree, (want, want_degree) in zip(values, degs, expected):
+        assert len(pairs) == len(expected)
+        for (got, degree), (want, want_degree) in zip(pairs, expected):
             assert abs(got - want) <= 1e-9
             assert degree == want_degree
 
@@ -127,9 +128,7 @@ class TestParity:
         # outputs 2*1.0 and 1.0+1.0 coincide: one merged pair, max degree
         prog = program_for("a+b", ("a", "b"))
         cols = [[(1.0, 0.4), (2.0, 0.9)], [(0.0, 1.0), (1.0, 0.6)]]
-        values, degs = run(prog, cols)
-        assert values == [1.0, 2.0, 3.0]
-        assert degs == [0.4, 0.9, 0.6]
+        assert run(prog, cols) == ((1.0, 0.4), (2.0, 0.9), (3.0, 0.6))
 
 
 NAMES = ("a", "b", "c")
@@ -180,9 +179,9 @@ class TestRandomBodies:
             with pytest.raises(EvaluationError):
                 run(prog, columns)
             return
-        values, degs = run(prog, columns)
-        assert len(values) == len(expected)
-        for got, degree, (want, want_degree) in zip(values, degs, expected):
+        pairs = run(prog, columns)
+        assert len(pairs) == len(expected)
+        for (got, degree), (want, want_degree) in zip(pairs, expected):
             assert abs(got - want) <= 1e-9
             assert degree == want_degree
 
