@@ -1,11 +1,12 @@
 """Write one point of the benchmark trajectory: BENCH_<short rev>.json.
 
-Runs perfbench's four workloads untraced at seed 1 in a checkout (this one
-by default), one after another, and writes to benchmarks/trajectory/ each
-run's last stdout line (its JSON report), the lines and non-blank lines of
-src/foodn/*.py, the checkout's git revision and the Python version.  Usage:
+Runs every workload that a checkout's BENCHMARK.json names (this checkout
+by default) once, untraced at seed 1 for its run_seconds, through that
+checkout's perfbench/run.py, and writes to benchmarks/trajectory/ each
+run's JSON report, the lines and non-blank lines of src/foodn/*.py, the
+checkout's git revision and the Python version.  Usage:
 
-    python benchmarks/trajectory.py [--seconds 25] [--root CHECKOUT]
+    python benchmarks/trajectory.py [--root CHECKOUT]
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-WORKLOADS = ("build", "evaluate", "session", "cli")
 
 
 def git(root: Path, *args: str) -> str:
@@ -36,32 +36,25 @@ def count_lines(root: Path) -> dict:
     return {"lines": lines, "non_blank": non_blank}
 
 
-def run_workload(root: Path, workload: str, seconds: float) -> dict:
-    """One untraced perfbench run; its last stdout line is its report."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", "1", "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
-    if proc.returncode != 0:
-        sys.exit(f"error: {' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seconds", type=float, default=25.0,
-                    help="run length per workload (BENCHMARK.json's run_seconds)")
     ap.add_argument("--root", type=Path, default=REPO, help="checkout to measure")
-    args = ap.parse_args()
-    root = args.root.resolve()
+    root = ap.parse_args().root.resolve()
+    bench = json.loads((root / "BENCHMARK.json").read_text())
+    sys.path.insert(0, str(root / "perfbench"))
+    import run  # the checkout's own runner
+
     rev = git(root, "rev-parse", "--short", "HEAD")
+    seconds = bench["run_seconds"]
     point = {
         "rev": rev,
         # a run of uncommitted sources is not the revision it names
         "dirty": bool(git(root, "status", "--porcelain", "--untracked-files=no")),
         "python": platform.python_version(),
-        "seconds": args.seconds,
+        "seconds": seconds,
         "loc": {"src": count_lines(root)},
-        "runs": {w: run_workload(root, w, args.seconds) for w in WORKLOADS},
+        "runs": {w["name"]: run.child_run(root, w["name"], 1, seconds)[0]
+                 for w in bench["workloads"]},
     }
     out = REPO / "benchmarks" / "trajectory" / f"BENCH_{rev}.json"
     out.parent.mkdir(exist_ok=True)

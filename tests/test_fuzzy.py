@@ -224,18 +224,14 @@ DEGREES = [0.0, 0.0, 0.25, 0.5, 0.9, 1.0]
     ),
     tol=st.sampled_from([0.0, 1e-9, 0.05, 1.0]),
 )
+# 0.0 == -0.0: sorted, (-0.0, 0.25) comes first and its support stands for both
+@example(pairs=[(0.0, 0.5), (-0.0, 0.25)], tol=0.0)
 def test_merge_pairs_matches_the_pair_loop_bit_for_bit(pairs, tol):
     """Exact duplicates, both zeros and zero degrees, against one loop over
     the sorted pairs, compared by float.hex so that -0.0 counts."""
     pairs = pairs + pairs[: len(pairs) // 2]  # every other pair at least twice
     hexed = lambda merged: [(s.hex(), d.hex()) for s, d in merged]  # noqa: E731
     assert hexed(merge_pairs(pairs, tol)) == hexed(oracle_merge(pairs, tol))
-
-
-def test_merge_pairs_keeps_the_first_of_tied_supports_at_the_max_degree():
-    # 0.0 == -0.0: sorted, (-0.0, 0.25) comes first and its support stands for both
-    merged = merge_pairs([(0.0, 0.5), (-0.0, 0.25)], 0.0)
-    assert [(s.hex(), d.hex()) for s, d in merged] == [((-0.0).hex(), (0.5).hex())]
 
 
 def test_merge_pairs_groups_by_run_representative():
