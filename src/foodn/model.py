@@ -150,6 +150,15 @@ PropertyValue = (
     | Fuzzy
     | FuzzyTuple
 )
+_VALUE_TYPES = frozenset(PropertyValue.__args__)
+
+
+def check_value(value):
+    """Refuse anything but one of the eight value records, exactly: the
+    score table and the equality table are keyed by type, so a subclass
+    would score 0 there without an error."""
+    if type(value) not in _VALUE_TYPES:
+        raise ValueError(f"not a property value: {value!r}")
 
 
 def is_fuzzy_value(value) -> bool:
@@ -157,11 +166,10 @@ def is_fuzzy_value(value) -> bool:
 
     Degenerate truth degrees (exactly 0 or 1) are crisp statements.
     """
-    if isinstance(value, (Fuzzy, FuzzyTuple, FuzzyMarker)):
-        return True
-    if isinstance(value, TruthDegree):
+    kind = type(value)
+    if kind is TruthDegree:
         return 0.0 < value.value < 1.0
-    return False
+    return kind is Fuzzy or kind is FuzzyTuple or kind is FuzzyMarker
 
 
 def format_value(value) -> str:
@@ -222,8 +230,7 @@ class Property:
             raise ValueError("property id must be non-empty")
         if not self.semantic:
             raise ValueError("property semantic must be non-empty")
-        if not isinstance(self.value, PropertyValue):
-            raise ValueError(f"not a property value: {self.value!r}")
+        check_value(self.value)
 
 
 @record
@@ -293,41 +300,113 @@ def method_equivalent(a: MethodDef, b: MethodDef) -> bool:
     )
 
 
+def _numbers_equal(a: CrispNumber, b: CrispNumber, tol: float) -> bool:
+    return a.unit == b.unit and abs(a.value - b.value) <= tol
+
+
+def _tuples_equal(a: CrispTuple, b: CrispTuple, tol: float) -> bool:
+    return (
+        a.unit == b.unit
+        and len(a.values) == len(b.values)
+        and all(abs(x - y) <= tol for x, y in zip(a.values, b.values))
+    )
+
+
+def _intervals_equal(a: Interval, b: Interval, tol: float) -> bool:
+    return (
+        a.unit == b.unit
+        and a.lo_open == b.lo_open
+        and a.hi_open == b.hi_open
+        and abs(a.lo - b.lo) <= tol
+        and abs(a.hi - b.hi) <= tol
+    )
+
+
+def _truths_equal(a: TruthDegree, b: TruthDegree, tol: float) -> bool:
+    return abs(a.value - b.value) <= tol
+
+
+def _markers_equal(a, b, tol: float) -> bool:
+    return True
+
+
+def _fuzzy_equal(a: Fuzzy, b: Fuzzy, tol: float) -> bool:
+    return fs_equal(a.value, b.value, tol)
+
+
+def _fuzzy_tuples_equal(a: FuzzyTuple, b: FuzzyTuple, tol: float) -> bool:
+    return len(a.values) == len(b.values) and all(
+        fs_equal(x, y, tol) for x, y in zip(a.values, b.values)
+    )
+
+
+# the one "equal within tol" rule per variant: units and lengths exactly
+_EQUAL = {
+    CrispNumber: _numbers_equal,
+    CrispTuple: _tuples_equal,
+    Interval: _intervals_equal,
+    TruthDegree: _truths_equal,
+    FuzzyMarker: _markers_equal,
+    Absent: _markers_equal,
+    Fuzzy: _fuzzy_equal,
+    FuzzyTuple: _fuzzy_tuples_equal,
+}
+
+
 def value_equivalent(a, b, tol: float) -> bool:
     """Same variant and same content up to *tol*; units compare exactly."""
     if type(a) is not type(b):
         return False
-    if isinstance(a, CrispNumber):
-        return a.unit == b.unit and abs(a.value - b.value) <= tol
-    if isinstance(a, CrispTuple):
-        return (
-            a.unit == b.unit
-            and len(a.values) == len(b.values)
-            and all(abs(x - y) <= tol for x, y in zip(a.values, b.values))
-        )
-    if isinstance(a, Interval):
-        return (
-            a.unit == b.unit
-            and a.lo_open == b.lo_open
-            and a.hi_open == b.hi_open
-            and abs(a.lo - b.lo) <= tol
-            and abs(a.hi - b.hi) <= tol
-        )
-    if isinstance(a, TruthDegree):
-        return abs(a.value - b.value) <= tol
-    if isinstance(a, (FuzzyMarker, Absent)):
-        return True
-    if isinstance(a, Fuzzy):
-        return fs_equal(a.value, b.value, tol)
-    if isinstance(a, FuzzyTuple):
-        return len(a.values) == len(b.values) and all(
-            fs_equal(x, y, tol) for x, y in zip(a.values, b.values)
-        )
-    raise TypeError(f"not a property value: {a!r}")
+    equal = _EQUAL.get(type(a))
+    if equal is None:
+        raise TypeError(f"not a property value: {a!r}")
+    return equal(a, b, tol)
 
 
 def property_equivalent(a: Property, b: Property, tol: float) -> bool:
     return a.semantic == b.semantic and value_equivalent(a.value, b.value, tol)
+
+
+def _score_equal(equal):
+    return lambda ov, cv, tol: 1.0 if equal(ov, cv, tol) else 0.0
+
+
+def _in_interval(ov: CrispNumber, cv: Interval, tol: float) -> float:
+    return 1.0 if ov.unit == cv.unit and cv.contains(ov.value) else 0.0
+
+
+def _all_in_interval(ov: CrispTuple, cv: Interval, tol: float) -> float:
+    # an interval is convex: it holds every component iff it holds both extremes
+    values = ov.values
+    inside = ov.unit == cv.unit and cv.contains(min(values)) and cv.contains(max(values))
+    return 1.0 if inside else 0.0
+
+
+def _truth_against_number(ov: TruthDegree, cv: CrispNumber, tol: float) -> float:
+    if abs(cv.value - 1.0) <= tol:
+        return ov.value
+    if abs(cv.value) <= tol:
+        return 1.0 - ov.value
+    return 0.0
+
+
+def _one(ov, cv, tol: float) -> float:
+    return 1.0
+
+
+# (object value type, class value type) -> score; every other pair scores 0.
+# An object's interval is a range, not a value: it meets nothing but absent.
+_TERMS = {
+    **{(kind, Absent): _one for kind in _VALUE_TYPES},
+    **{(kind, kind): _score_equal(_EQUAL[kind])
+       for kind in (CrispNumber, CrispTuple, TruthDegree, FuzzyMarker, Fuzzy, FuzzyTuple)},
+    (CrispNumber, Interval): _in_interval,
+    (CrispTuple, Interval): _all_in_interval,
+    (Fuzzy, FuzzyMarker): _one,
+    (FuzzyTuple, FuzzyMarker): _one,
+    (TruthDegree, FuzzyMarker): lambda ov, cv, tol: ov.value,
+    (TruthDegree, CrispNumber): _truth_against_number,
+}
 
 
 def compat_degree(obj_prop: Property | None, class_prop: Property, tol: float = DEFAULT_TOL) -> float:
@@ -335,36 +414,18 @@ def compat_degree(obj_prop: Property | None, class_prop: Property, tol: float = 
     one term of membership_degree.  A property the object lacks (None)
     scores 1 if the class marks it absent, else 0.  Raises SemanticMismatch
     when the two describe different things; the caller is expected to pair
-    properties by id within one vocabulary.
+    properties by id within one vocabulary.  Every other pair scores by the
+    value types' row in _TERMS, README's Membership table.
     """
     if obj_prop is None:
-        return 1.0 if isinstance(class_prop.value, Absent) else 0.0
+        return 1.0 if type(class_prop.value) is Absent else 0.0
     if obj_prop.semantic != class_prop.semantic:
         raise SemanticMismatch(
             f"property {obj_prop.id}: {obj_prop.semantic!r} vs {class_prop.semantic!r}"
         )
     ov, cv = obj_prop.value, class_prop.value
-
-    if isinstance(cv, Absent):
-        return 1.0
-    if isinstance(ov, Interval):
-        return 0.0  # an object's interval is a range, not a value: it meets no class value
-    if type(ov) is type(cv):
-        return 1.0 if value_equivalent(ov, cv, tol) else 0.0
-    if isinstance(ov, (CrispNumber, CrispTuple)) and isinstance(cv, Interval):
-        values = ov.values if isinstance(ov, CrispTuple) else (ov.value,)  # a number is a 1-tuple
-        return 1.0 if ov.unit == cv.unit and all(cv.contains(x) for x in values) else 0.0
-    if isinstance(ov, (Fuzzy, FuzzyTuple)) and isinstance(cv, FuzzyMarker):
-        return 1.0
-    if isinstance(ov, TruthDegree):
-        if isinstance(cv, FuzzyMarker):
-            return ov.value
-        if isinstance(cv, CrispNumber):
-            if abs(cv.value - 1.0) <= tol:
-                return ov.value
-            if abs(cv.value) <= tol:
-                return 1.0 - ov.value
-    return 0.0
+    score = _TERMS.get((type(ov), type(cv)))
+    return 0.0 if score is None else score(ov, cv, tol)
 
 
 # -- entities -----------------------------------------------------------------
@@ -486,13 +547,13 @@ def entity_kind(entity) -> str:
 
 def is_fuzzy_entity(entity) -> tuple[bool, tuple[str, ...]]:
     """(verdict, ids of the fuzzy-valued properties, in declaration order)."""
-    if isinstance(entity, HeterogeneousClass):
+    if type(entity) is HeterogeneousClass:
         witnesses = []
         for proj in sorted(entity.projections, key=lambda p: p.name):
             _, ids = is_fuzzy_entity(proj)
             witnesses.extend(f"{pid}@{proj.name}" for pid in ids)
         return bool(witnesses), tuple(witnesses)
-    ids = tuple(p.id for p in entity.specification if is_fuzzy_value(p.value))
+    ids = tuple([p.id for p in entity.specification if is_fuzzy_value(p.value)])
     return bool(ids), ids
 
 

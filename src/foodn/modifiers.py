@@ -18,6 +18,7 @@ from .model import (
     Property,
     PropertyValue,
     _check_strings,
+    check_value,
     entity_kind,
     format_value,
     value_equivalent,
@@ -34,9 +35,8 @@ class Change:
         _check_strings("change", prop=self.prop)
         if not self.prop:
             raise ValueError("change property id must be non-empty")
-        for value in (self.before, self.after):
-            if not isinstance(value, PropertyValue):
-                raise ValueError(f"not a property value: {value!r}")
+        check_value(self.before)
+        check_value(self.after)
         if value_equivalent(self.before, self.after, 0.0):  # exactly, whatever the tolerance
             raise InvalidChange(
                 f"change to {self.prop} must alter the value, both sides are "

@@ -297,6 +297,8 @@ class Network:
             required.append((cname, cls, needs, terms))
         class_props = list(numbers)
         candidates: dict[frozenset[str], list] = {}  # object's ids -> classes to score
+        instance_of = self._adjacency["out"]["instance-of"]
+        tol = self.tol
         proposals = []
         for oname in sorted(self.objects):
             obj = self.objects[oname]
@@ -306,13 +308,14 @@ class Network:
                 candidates[ids] = [
                     (cname, cls, terms) for cname, cls, needs, terms in required if needs <= ids
                 ]
+            present = instance_of.get(oname, ())  # the classes it is already an instance of
             table = [None] * len(class_props)  # term number -> degree; a mismatch reads 0
             for cname, cls, terms in candidates[ids]:
-                if (oname, cname, "instance-of") in self._by_key:
+                if cname in present:
                     continue
                 if terms is None:
                     try:
-                        degree = membership_degree(obj, cls, "min", self.tol)
+                        degree = membership_degree(obj, cls, "min", tol)
                     except SemanticMismatch:
                         continue
                 else:
@@ -322,7 +325,7 @@ class Network:
                         if d is None:
                             cp = class_props[t]
                             try:
-                                d = compat_degree(own.get(cp.id), cp, self.tol)
+                                d = compat_degree(own.get(cp.id), cp, tol)
                             except SemanticMismatch:
                                 d = 0.0
                             table[t] = d

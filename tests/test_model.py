@@ -170,6 +170,25 @@ class TestValues:
         with pytest.raises(ValueError, match=f"^not a property value: {re.escape(repr(value))}$"):
             Property("p1", "P", value)
 
+    @pytest.mark.parametrize("value", [
+        CrispNumber(1.0), CrispTuple((1.0, 2.0), "cm"), Interval(0.0, 1.0), TruthDegree(0.5),
+        FuzzyMarker(), Absent(), Fuzzy(FS), FuzzyTuple((FS,)),
+    ], ids=lambda value: type(value).__name__)
+    def test_value_subclasses_are_refused(self, value):
+        # membership scores a pair of values by their exact types
+        kind = type(value)
+        sub = type(f"My{kind.__name__}", (kind,), {"__slots__": ()})(
+            *[getattr(value, name) for name in kind.__match_args__]
+        )
+        assert sub == sub and isinstance(sub, kind)
+        message = f"^not a property value: {re.escape(repr(sub))}$"
+        with pytest.raises(ValueError, match=message):
+            Property("p1", "P", sub)
+        with pytest.raises(ValueError, match=message):
+            Change("p1", sub, CrispNumber(7.0))
+        with pytest.raises(ValueError, match=message):
+            Change("p1", CrispNumber(7.0), sub)
+
     @pytest.mark.parametrize("before, after", [
         (5, CrispNumber(1.0)), (CrispNumber(1.0), "x"), (5, "x"), (FS, Fuzzy(FS)),
     ], ids=["before", "after", "both", "bare fuzzy set"])

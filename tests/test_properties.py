@@ -417,26 +417,42 @@ def test_relation_index_matches_linear_scan(steps):
 
 # -- inferred relations against scoring every pair -----------------------------
 
-# crisp 0/1 and graded values, so that many pairs score above 0
-infer_object_values = st.one_of(
-    st.sampled_from([CrispNumber(0.0), CrispNumber(1.0)]),
-    st.integers(1, 9).map(lambda n: TruthDegree(n / 10.0)),
-)
-infer_class_values = st.one_of(
-    st.sampled_from([CrispNumber(0.0), CrispNumber(1.0), FuzzyMarker(), Absent(), Absent()]),
-    st.integers(1, 9).map(lambda n: TruthDegree(n / 10.0)),
-)
+# Few values per property id, so that many pairs score above 0, and every
+# row of the score table comes up: p1 holds crisp 0/1 and graded values, p2
+# numbers and tuples in and out of intervals and units, and an object's
+# interval, which scores 0; p3 fuzzy sets and fuzzy tuples against their
+# equals and the fuzzy marker; p4 any of these, so variants also cross.
+_SET_A = make_fuzzy_set([(1.0, 1.0)])
+_SET_B = make_fuzzy_set([(1.0, 0.5), (2.0, 1.0)], unit="cm")
+_truths = st.integers(1, 9).map(lambda n: TruthDegree(n / 10.0))
+_crisp = [CrispNumber(0.0), CrispNumber(1.0)]
+_measured = [CrispNumber(1.0, "cm"), CrispTuple((1.0, 2.0), "cm"), CrispTuple((1.0, 2.0))]
+_fuzzy = [Fuzzy(_SET_A), Fuzzy(_SET_B), FuzzyTuple((_SET_A, _SET_B)), FuzzyTuple((_SET_B,))]
+_by_id = {
+    "p1": (st.one_of(st.sampled_from(_crisp), _truths),
+           st.one_of(st.sampled_from(_crisp + [FuzzyMarker(), Absent(), Absent()]), _truths)),
+    "p2": (st.sampled_from(_measured + [CrispNumber(2.5, "cm"), CrispTuple((1.0, 3.0), "cm"),
+                                        Interval(0.0, 3.0, "cm")]),
+           st.sampled_from(_measured + [Interval(0.0, 3.0, "cm"), Absent(),
+                                        Interval(1.0, 3.0, "cm", lo_open=False),
+                                        Interval(0.0, 2.0, hi_open=False)])),
+    "p3": (st.sampled_from(_fuzzy), st.sampled_from(_fuzzy + [FuzzyMarker(), Absent()])),
+}
+_by_id["p4"] = tuple(st.one_of(*(pair[side] for pair in _by_id.values())) for side in (0, 1))
+infer_object_values = {pid: pair[0] for pid, pair in _by_id.items()}
+infer_class_values = {pid: pair[1] for pid, pair in _by_id.items()}
 
 
 @st.composite
 def some_properties(draw, values):
-    """Properties over a subset of PROP_POOL's ids; now and then a property
-    carries another semantic than its id has elsewhere."""
+    """Properties over a subset of PROP_POOL's ids, each drawn from its id's
+    strategy in *values*; now and then a property carries another semantic
+    than its id has elsewhere."""
     picks = draw(st.lists(st.sampled_from(range(len(PROP_POOL))),
                           max_size=len(PROP_POOL), unique=True))
     return [Property(PROP_POOL[i][0],
                      draw(st.sampled_from([PROP_POOL[i][1]] * 5 + ["Other"])),
-                     draw(values))
+                     draw(values[PROP_POOL[i][0]]))
             for i in sorted(picks)]
 
 
@@ -450,7 +466,8 @@ def infer_network(draw):
     for name in object_names:
         net.add(define_object(name, draw(some_properties(infer_object_values))))
     shared = [
-        Property(pid, draw(st.sampled_from([semantic] * 5 + ["Other"])), draw(infer_class_values))
+        Property(pid, draw(st.sampled_from([semantic] * 5 + ["Other"])),
+                 draw(infer_class_values[pid]))
         for pid, semantic in PROP_POOL for _ in range(draw(st.integers(1, 3)))
     ]
 
@@ -538,3 +555,56 @@ def test_a_union_scores_the_best_projection_that_does_not_mismatch(case, tnorm):
         with pytest.raises(SemanticMismatch) as info:
             net.membership("O", union, tnorm)
         assert str(info.value) == mismatches[0]
+
+
+# -- the score table's interval row ---------------------------------------------
+
+
+@MANY
+@given(values=st.lists(st.integers(-4, 4), min_size=1, max_size=5),
+       lo=st.integers(-4, 3), width=st.integers(1, 5), lo_open=st.booleans(),
+       hi_open=st.booleans(), unit=st.sampled_from([None, "cm"]),
+       class_unit=st.sampled_from([None, "cm"]))
+def test_a_tuple_meets_an_interval_that_holds_every_component(values, lo, width, lo_open,
+                                                               hi_open, unit, class_unit):
+    hi = lo + width
+
+    def inside(x):
+        above = lo < x if lo_open else lo <= x
+        below = x < hi if hi_open else x <= hi
+        return above and below
+
+    window = Property("q", "S", Interval(lo, hi, class_unit, lo_open, hi_open))
+    degree = compat_degree(Property("q", "S", CrispTuple(values, unit)), window)
+    assert degree == (1.0 if unit == class_unit and all(map(inside, values)) else 0.0)
+    degree = compat_degree(Property("q", "S", CrispNumber(values[0], unit)), window)
+    assert degree == (1.0 if unit == class_unit and inside(values[0]) else 0.0)
+
+
+# -- what intersection and difference keep of their arguments -------------------
+
+law_values = {pid: values.filter(lambda v: type(v) is not Interval)
+              for pid, values in infer_object_values.items()}
+
+
+@MANY
+@given(data=st.data(), n=st.integers(2, 3), tnorm=st.sampled_from(["min", "product"]))
+def test_intersection_and_difference_hold_their_object_arguments_at_1(data, n, tnorm):
+    """Every object argument of an intersection, and the first argument of
+    a difference, belongs to the result at 1.  Not so for an object that
+    holds an interval: its interval scores 0, even against an equal one."""
+    net = Network()
+    names = [f"O{i}" for i in range(n)]
+    for name in names:
+        methods = [METHOD] if data.draw(st.booleans()) else []
+        net.add(define_object(name, data.draw(some_properties(law_values)), methods))
+    results = []
+    for kind, args, members in (("intersection", names, names),
+                                ("difference", names[:2], names[:1])):
+        try:
+            results.append((net.apply_exploiter(kind, args), members))
+        except DoesNotExist:
+            pass
+    for result, members in results:
+        for name in members:
+            assert net.membership(name, result, tnorm) == 1.0
