@@ -1,10 +1,10 @@
 """Write one point of the benchmark trajectory: BENCH_<short rev>.json.
 
-Runs every workload that a checkout's BENCHMARK.json names (this checkout
-by default) once, untraced at seed 1 for its run_seconds, through that
-checkout's perfbench/run.py, and writes to benchmarks/trajectory/ each
-run's JSON report, the lines and non-blank lines of src/foodn/*.py, the
-checkout's git revision and the Python version.
+Runs every workload that this checkout's BENCHMARK.json names once,
+untraced at seed 1 for its run_seconds, through its perfbench/run.py, and
+writes to benchmarks/trajectory/ each run's JSON report, the lines and
+non-blank lines of src/foodn/*.py, the checkout's git revision and the
+Python version.
 
 With --against REV it checks REV out with `git worktree add` in a
 temporary directory and, for each workload, runs PAIRS alternating pairs
@@ -14,7 +14,7 @@ first, and so on.  The file then also holds, per workload and gated
 metric, each side's median and quartiles and in how many pairs the
 checkout read lower, with every run's report.  Usage:
 
-    python benchmarks/trajectory.py [--root CHECKOUT] [--against REV]
+    python benchmarks/trajectory.py [--against REV]
 """
 from __future__ import annotations
 
@@ -117,25 +117,23 @@ def against(root: Path, rev: str, bench: dict) -> tuple[dict, dict]:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--root", type=Path, default=REPO, help="checkout to measure")
     ap.add_argument("--against", metavar="REV", help="also run alternating pairs against REV")
     args = ap.parse_args()
-    root = args.root.resolve()
-    bench = json.loads((root / "BENCHMARK.json").read_text())
-    rev = git(root, "rev-parse", "--short", "HEAD")
+    bench = json.loads((REPO / "BENCHMARK.json").read_text())
+    rev = git(REPO, "rev-parse", "--short", "HEAD")
     seconds = bench["run_seconds"]
     point = {
         "rev": rev,
         # a run of uncommitted sources is not the revision it names
-        "dirty": bool(git(root, "status", "--porcelain", "--untracked-files=no")),
+        "dirty": bool(git(REPO, "status", "--porcelain", "--untracked-files=no")),
         "python": platform.python_version(),
         "seconds": seconds,
-        "loc": {"src": count_lines(root)},
+        "loc": {"src": count_lines(REPO)},
     }
     if args.against:
-        point["against"], point["runs"] = against(root, args.against, bench)
+        point["against"], point["runs"] = against(REPO, args.against, bench)
     else:
-        point["runs"] = {w["name"]: run(root, w["name"], seconds) for w in bench["workloads"]}
+        point["runs"] = {w["name"]: run(REPO, w["name"], seconds) for w in bench["workloads"]}
     out = REPO / "benchmarks" / "trajectory" / f"BENCH_{rev}.json"
     out.parent.mkdir(exist_ok=True)
     out.write_text(json.dumps(point, indent=1) + "\n")

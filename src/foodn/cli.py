@@ -22,7 +22,7 @@ from .errors import (
 )
 from .evaluator import eval_method
 from .exploiters import UNIVERSAL_EXPLOITERS
-from .fuzzy import DEFAULT_TOL, FuzzySet, check_tolerance, format_number
+from .fuzzy import DEFAULT_TOL, TNORMS, FuzzySet, check_tolerance, format_number
 from .model import CrispNumber, Fuzzy, format_value
 from .serialize import export_dot, load_file, save_file, value_to_doc
 
@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("membership", cmd_membership, "membership degree of an object in a class")
     sp.add_argument("object")
     sp.add_argument("klass", metavar="class")
-    sp.add_argument("--tnorm", choices=("min", "product"), default="min")
+    sp.add_argument("--tnorm", choices=sorted(TNORMS), default="min")
 
     sp = add("query", cmd_query, "entities related to a name")
     sp.add_argument("name")

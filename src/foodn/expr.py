@@ -25,8 +25,6 @@ from collections.abc import Callable, Collection
 from ._record import record
 from .errors import EvaluationError, ExprSyntaxError, UnresolvedBinding
 
-FUNCTIONS = ("sin", "cos", "sqrt")
-
 # The deepest body parse_expr accepts, in nesting levels or tree height.
 MAX_DEPTH = 100
 
@@ -238,6 +236,7 @@ _CALLS = {
     "cos": lambda x: math.cos(x * _DEG),
     "sqrt": _sqrt,
 }
+FUNCTIONS = tuple(_CALLS)
 _compile = functools.lru_cache(maxsize=512)(compile)  # one code object per body shape
 
 

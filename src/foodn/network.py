@@ -29,7 +29,6 @@ from .errors import (
 )
 from .fuzzy import DEFAULT_TOL, as_float, check_degree, check_tolerance, format_number
 from .model import (
-    Absent,
     ClassSpec,
     FuzzyObject,
     HeterogeneousClass,
@@ -271,11 +270,10 @@ class Network:
         clears the threshold; nothing is added to the network.
 
         Only pairs that can score above 0 are scored.  An intensional class
-        property that the object lacks, and that the class does not mark
-        absent, scores 0, and 0 absorbs every t-norm; so an object meets
-        such a class only when it carries all of the class's non-absent
-        property ids.  Extensional and heterogeneous classes are always
-        scored, through membership_degree.
+        property that the object lacks scores compat_degree(None, p), and
+        where that is 0, which absorbs every t-norm, an object meets the
+        class only when it carries the property's id.  Extensional and
+        heterogeneous classes are always scored, through membership_degree.
 
         Intensional classes are scored here, term by term with compat_degree
         under membership_degree's min t-norm.  Each distinct class property
@@ -285,12 +283,13 @@ class Network:
         that scores 0 or raises SemanticMismatch: neither can be proposed.
         """
         threshold = check_degree(threshold, "threshold")
+        tol = self.tol
         numbers: dict[Property, int] = {}  # each distinct intensional class property
         required = []  # (name, class, ids an object must carry to score > 0, term numbers)
         for cname in sorted(self.classes):
             cls = self.classes[cname]
             if isinstance(cls, ClassSpec) and cls.mode == "intensional":
-                needs = frozenset(p.id for p in cls.specification if not isinstance(p.value, Absent))
+                needs = frozenset(p.id for p in cls.specification if compat_degree(None, p, tol) == 0.0)
                 terms = tuple(numbers.setdefault(p, len(numbers)) for p in cls.specification)
             else:
                 needs, terms = frozenset(), None
@@ -298,7 +297,6 @@ class Network:
         class_props = list(numbers)
         candidates: dict[frozenset[str], list] = {}  # object's ids -> classes to score
         instance_of = self._adjacency["out"]["instance-of"]
-        tol = self.tol
         proposals = []
         for oname in sorted(self.objects):
             obj = self.objects[oname]
@@ -344,14 +342,14 @@ class Network:
         provenance record; the one place either enters the network.  A
         modifier's result retires its source: the source moves into history,
         behind a modification-of edge from the result.  Callers check
-        everything first, so nothing here can fail."""
+        everything else first; the one check here, that the edge is not
+        present with another degree, runs before anything changes."""
         live = self._home(entity)
         if retired is not None:
+            self._insert(Relation(entity.name, retired, "modification-of"))
             del live[retired]
             self.history[retired] = entity_kind(entity)
         live[entity.name] = entity
-        if retired is not None:
-            self.add_relation(entity.name, retired, "modification-of")
         self.provenance.append(
             ProvenanceRecord(len(self.provenance) + 1, op, tuple(sources), entity.name, tuple(changes))
         )
@@ -437,8 +435,6 @@ class Network:
             raise UnknownModifier(f"no modifier named {modifier_name!r}")
         mod = self.modifiers[modifier_name]
         result, reason = self._modified(mod, entity_name)
-        # a conflicting degree must fail here, before _bind changes anything
-        self._is_new((result.name, entity_name, "modification-of"), 1.0)
         self._bind(result, modifier_name, (entity_name,), mod.changes, retired=entity_name)
         if reason is not None:
             warnings.warn(

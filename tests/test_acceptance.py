@@ -20,6 +20,7 @@ from foodn.exploiters import (
     sym_difference_op,
     union_op,
 )
+from foodn.fuzzy import DEFAULT_TOL
 from foodn.model import HeterogeneousClass, entity_kind
 from foodn.serialize import dumps, entity_to_doc
 from oracles import oracle_extend
@@ -69,34 +70,34 @@ def test_criterion_4_exploiter_matrix(polygons, disjoint):
     rb1 = polygons.objects["Rb1"]
     sq1 = polygons.objects["Sq1"]
 
-    assert set(ids(intersection_op([trb, tsq], "I"))) == {"p1", "p2", "p3", "p5", "f1"}
-    assert set(ids(difference_op(tsq, trb, "D"))) == {"p4", "p6", "f2"}
-    sym = sym_difference_op(tsq, trb, "S")
+    assert set(ids(intersection_op([trb, tsq], "I", DEFAULT_TOL))) == {"p1", "p2", "p3", "p5", "f1"}
+    assert set(ids(difference_op(tsq, trb, "D", DEFAULT_TOL))) == {"p4", "p6", "f2"}
+    sym = sym_difference_op(tsq, trb, "S", DEFAULT_TOL)
     assert len(ids(sym)) == 6
     assert all("@" in member for member in ids(sym))
 
-    self_meet = intersection_op([trb, trb], "Same")
+    self_meet = intersection_op([trb, trb], "Same", DEFAULT_TOL)
     assert self_meet.specification == trb.specification
     assert self_meet.signature == trb.signature
 
     with pytest.raises(DoesNotExist):
-        intersection_op([disjoint.classes["A"], disjoint.classes["B"]], "X")
+        intersection_op([disjoint.classes["A"], disjoint.classes["B"]], "X", DEFAULT_TOL)
 
     # result kinds, objects then classes, for all five exploiters
     union_objects = union_op([rb1, sq1], "U1")
     assert isinstance(union_objects, ObjectSet)
     assert entity_kind(union_objects.induced_class) == "class"
     assert union_objects.induced_class.mode == "extensional"
-    assert entity_kind(intersection_op([rb1, sq1], "K1")) == "class"
-    assert entity_kind(difference_op(rb1, sq1, "K2")) == "class"
-    assert entity_kind(sym_difference_op(rb1, sq1, "K3")) == "class"
+    assert entity_kind(intersection_op([rb1, sq1], "K1", DEFAULT_TOL)) == "class"
+    assert entity_kind(difference_op(rb1, sq1, "K2", DEFAULT_TOL)) == "class"
+    assert entity_kind(sym_difference_op(rb1, sq1, "K3", DEFAULT_TOL)) == "class"
     assert entity_kind(clone_op(rb1, 1)) == "object"
     union_classes = union_op([trb, tsq], "U2")
     assert isinstance(union_classes, HeterogeneousClass)
     assert entity_kind(union_classes) == "class"
-    assert entity_kind(intersection_op([trb, tsq], "K4")) == "class"
-    assert entity_kind(difference_op(trb, tsq, "K5")) == "class"
-    assert entity_kind(sym_difference_op(trb, tsq, "K6")) == "class"
+    assert entity_kind(intersection_op([trb, tsq], "K4", DEFAULT_TOL)) == "class"
+    assert entity_kind(difference_op(trb, tsq, "K5", DEFAULT_TOL)) == "class"
+    assert entity_kind(sym_difference_op(trb, tsq, "K6", DEFAULT_TOL)) == "class"
     assert entity_kind(clone_op(trb, 1)) == "class"
     print("criterion 4: PASS - member sets, self-intersection, disjoint "
           "failure, and all ten result kinds check out")

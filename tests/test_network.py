@@ -284,7 +284,8 @@ class TestQueries:
         compared = []
 
         def comparing(obj_prop, class_prop, *args):
-            compared.append(class_prop.id)
+            if obj_prop is not None:  # the prefilter's missing-property scores
+                compared.append(class_prop.id)
             return compat_degree(obj_prop, class_prop, *args)
 
         monkeypatch.setattr(network, "compat_degree", comparing)

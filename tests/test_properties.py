@@ -31,7 +31,7 @@ from foodn.exploiters import (
     sym_difference_op,
     union_op,
 )
-from foodn.fuzzy import FuzzySet, make_fuzzy_set
+from foodn.fuzzy import DEFAULT_TOL, FuzzySet, make_fuzzy_set
 from foodn.model import (
     Absent,
     Binding,
@@ -129,11 +129,11 @@ def test_intersection_commutes(data):
     a = data.draw(random_class("A"))
     b = data.draw(random_class("B"))
     try:
-        ab = intersection_op([a, b], "AB")
+        ab = intersection_op([a, b], "AB", DEFAULT_TOL)
     except DoesNotExist:
         ab = None
     try:
-        ba = intersection_op([b, a], "BA")
+        ba = intersection_op([b, a], "BA", DEFAULT_TOL)
     except DoesNotExist:
         ba = None
     assert (ab is None) == (ba is None)  # both orders agree on existence
@@ -149,20 +149,20 @@ def test_sym_difference_is_both_differences(data):
 
     def leftovers(x, y):
         try:
-            only = difference_op(x, y, "D")
+            only = difference_op(x, y, "D", DEFAULT_TOL)
         except DoesNotExist:
             return []
         return [p.id for p in only.specification] + [m.id for m in only.signature]
 
     expected = sorted(leftovers(a, b) + leftovers(b, a))
     try:
-        sym = sym_difference_op(a, b, "S")
+        sym = sym_difference_op(a, b, "S", DEFAULT_TOL)
     except DoesNotExist:
         assert expected == []
         return
     assert base_ids(sym) == expected
     # and it commutes up to qualification and ordering
-    assert base_ids(sym_difference_op(b, a, "S2")) == expected
+    assert base_ids(sym_difference_op(b, a, "S2", DEFAULT_TOL)) == expected
 
 
 @MANY
@@ -173,9 +173,9 @@ def test_exploiters_never_mutate_their_inputs(data):
     before = (entity_to_doc(a), entity_to_doc(b))
     for op in (
         lambda: union_op([a, b], "U"),
-        lambda: intersection_op([a, b], "I"),
-        lambda: difference_op(a, b, "D"),
-        lambda: sym_difference_op(a, b, "S"),
+        lambda: intersection_op([a, b], "I", DEFAULT_TOL),
+        lambda: difference_op(a, b, "D", DEFAULT_TOL),
+        lambda: sym_difference_op(a, b, "S", DEFAULT_TOL),
     ):
         try:
             op()
@@ -521,6 +521,24 @@ def test_infer_scores_each_class_property_once_per_object(net):
         patch.setattr(network, "compat_degree", comparing)
         net.infer_relations()
     assert len(compared) == len(set(compared))
+
+
+@MANY
+@given(net=infer_network())
+def test_infer_asks_compat_degree_what_a_missing_property_scores(net):
+    import foodn.model as model
+    import foodn.network as network
+
+    def half_for_missing(obj_prop, class_prop, *args):
+        if obj_prop is None and type(class_prop.value) is not Absent:
+            return 0.5
+        return compat_degree(obj_prop, class_prop, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (model, network):
+            patch.setattr(module, "compat_degree", half_for_missing)
+        proposals = net.infer_relations()
+        assert [(r.source, r.target, r.degree) for r in proposals] == oracle_infer(net)
 
 
 @st.composite
