@@ -67,7 +67,6 @@ from .model import (
     Fuzzy,
     FuzzyMarker,
     FuzzyTuple,
-    HeterogeneousClass,
     Interval,
     MethodDef,
     Property,
@@ -574,8 +573,6 @@ def _add_object(net, report, name, declared, items, methods):
         base = net.classes.get(declared)
         if base is None:
             raise FoodnError(f"object {name}: unknown class {declared!r}")
-        if isinstance(base, HeterogeneousClass):
-            raise FoodnError(f"object {name}: {declared} is heterogeneous and cannot be a declared class")
     properties = []
     for pid, semantic, value, item in items:
         if semantic is None:

@@ -66,22 +66,6 @@ class Sum(Expr):
     var: str
 
 
-def free_vars(expr: Expr) -> set[str]:
-    if isinstance(expr, Num):
-        return set()
-    if isinstance(expr, Var):
-        return {expr.name}
-    if isinstance(expr, Neg):
-        return free_vars(expr.operand)
-    if isinstance(expr, Bin):
-        return free_vars(expr.left) | free_vars(expr.right)
-    if isinstance(expr, Call):
-        return free_vars(expr.arg)
-    if isinstance(expr, Sum):
-        return {expr.var}
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
@@ -245,25 +229,31 @@ def compile_program(
 ) -> Callable[[tuple[float, ...]], float]:
     """Compile *expr* to a function of the tuple of slot values.
 
-    Every Var and sum() variable must have a slot; a variable in *families*
-    (bound with [*]) read outside sum() raises UnresolvedBinding.  The
-    function is one generated ``lambda xs: ...``, the tree written as
+    The one walk over the tree also checks the variables: when some Var or
+    sum() variable has no slot it raises ValueError("unbound variables
+    [...]"), naming them all, sorted; otherwise the first variable in
+    *families* (bound with [*]) read outside sum() raises UnresolvedBinding.
+    The function is one generated ``lambda xs: ...``, the tree written as
     parenthesised Python with constants bound by name in its globals, so it
     computes what a walk over the tree would, in the same order.  A zero
     divisor raises ZeroDivisionError and sin/cos of an infinite value raise
     ValueError; the kernel reports both as EvaluationError.
     """
     scope = {"_pow": _pow, **_CALLS}
+    unbound, misread = set(), []
 
     def source(node: Expr) -> str:
         if isinstance(node, Num):
             name = f"k{len(scope)}"
             scope[name] = float(node.value)
             return name
-        if isinstance(node, Var) and node.name in families:
-            raise UnresolvedBinding(f"family variable {node.name!r} can only appear inside sum()")
         if isinstance(node, (Var, Sum)):
-            return f"xs[{var_slots[node.name if isinstance(node, Var) else node.var]}]"
+            name = node.name if isinstance(node, Var) else node.var
+            if name not in var_slots:
+                unbound.add(name)
+            elif isinstance(node, Var) and name in families:
+                misread.append(name)
+            return f"xs[{var_slots.get(name)}]"
         if isinstance(node, Neg):
             return f"(-{source(node.operand)})"
         if isinstance(node, Bin):
@@ -273,4 +263,9 @@ def compile_program(
             return f"{node.func}({source(node.arg)})"
         raise TypeError(f"not an expression node: {node!r}")
 
-    return eval(_compile(f"lambda xs: {source(expr)}", "<method body>", "eval"), scope)
+    text = source(expr)
+    if unbound:
+        raise ValueError(f"unbound variables {sorted(unbound)}")
+    if misread:
+        raise UnresolvedBinding(f"family variable {misread[0]!r} can only appear inside sum()")
+    return eval(_compile(f"lambda xs: {text}", "<method body>", "eval"), scope)

@@ -280,14 +280,13 @@ class MethodDef:
         names = [b.var for b in self.bindings]
         if len(set(names)) != len(names):
             raise DuplicateId(f"method {self.id}: duplicate binding variables")
-        unbound = _expr.free_vars(ast) - set(names)
-        if unbound:
-            raise ValueError(
-                f"method {self.id}: unbound variables {sorted(unbound)} in body {self.body!r}"
-            )
         slots = {name: i for i, name in enumerate(names)}
         families = {b.var for b in self.bindings if b.accessor == "all"}
-        object.__setattr__(self, "program", _expr.compile_program(ast, slots, families))
+        try:
+            program = _expr.compile_program(ast, slots, families)
+        except ValueError as exc:  # unbound variables
+            raise ValueError(f"method {self.id}: {exc} in body {self.body!r}") from None
+        object.__setattr__(self, "program", program)
 
 
 def method_equivalent(a: MethodDef, b: MethodDef) -> bool:

@@ -112,17 +112,14 @@ class Network:
     def _live(self, name: str) -> bool:
         return name in self.objects or name in self.classes
 
-    def _check_free(self, name: str):
-        if self._live(name):
-            raise DuplicateName(f"{name!r} is already bound to a live entity")
-
     def _home(self, entity) -> dict:
         """The live map an entity belongs in; TypeError for a non-entity."""
         return self.objects if entity_kind(entity) == "object" else self.classes
 
     def add(self, entity):
         home = self._home(entity)
-        self._check_free(entity.name)
+        if self._live(entity.name):
+            raise DuplicateName(f"{entity.name!r} is already bound to a live entity")
         home[entity.name] = entity
         return entity
 
@@ -155,21 +152,16 @@ class Network:
         for relation in relations:
             self._insert(relation)
 
-    def _is_new(self, key: tuple[str, str, str], degree: float) -> bool:
-        """False for an exact duplicate of the (source, target, kind) edge,
-        which set semantics make a no-op; raises DuplicateName when the edge
-        is present with another degree."""
-        existing = self._by_key.get(key)
-        if existing is None:
-            return True
-        if existing.degree == degree:
-            return False
-        raise DuplicateName(f"relation {existing} already present with a different degree")
-
     def _insert(self, relation: Relation):
+        """Index *relation*.  An exact duplicate of its (source, target, kind)
+        edge is a no-op, by set semantics; the edge present with another
+        degree raises DuplicateName."""
         key = (relation.source, relation.target, relation.kind)
-        if not self._is_new(key, relation.degree):
-            return
+        existing = self._by_key.get(key)
+        if existing is not None:
+            if existing.degree == relation.degree:
+                return
+            raise DuplicateName(f"relation {existing} already present with a different degree")
         self._by_key[key] = relation
         self._relations.append(relation)
         self._adjacency["out"][relation.kind].setdefault(relation.source, []).append(relation.target)

@@ -347,8 +347,7 @@ def _scalars(write, items, nl: str) -> str:
 
 
 def _elements(pairs, nl: str) -> str:
-    if not pairs:
-        return "[]"
+    """A fuzzy set's (support, degree) pairs; a FuzzySet is never empty."""
     i = nl + "  "
     j = i + "  "
     return f"[{i}{(',' + i).join([f'[{j}{_float(s)},{j}{_float(d)}{i}]' for s, d in pairs])}{nl}]"

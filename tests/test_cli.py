@@ -150,6 +150,13 @@ class TestCommands:
         assert out.startswith("warning: 3:1: warning: modifier M")
         assert out.endswith("ok\n")
 
+    def test_other_commands_report_warnings_on_stderr(self, tmp_path):
+        path = tmp_path / "warned.foodn"
+        path.write_text(WARNED)
+        code, out, err = run_cli("load", "--in", str(path))
+        assert (code, err) == (0, f"{path}:{WARNING}\n")
+        assert out.startswith("objects: 1\n")
+
     def test_membership_tnorm_flag(self):
         code, out, _ = run_cli("membership", "Sq1", "T_Sq", "--in", POLYGONS,
                                "--tnorm", "product")

@@ -234,6 +234,18 @@ class TestDiagnostics:
             ("expected a value, got ';'", 2, 16),
         ]
 
+    @pytest.mark.parametrize("text, message, col", [
+        ('class T { property p1 "P" = [1] * 2.5; }', "expected a repeat count, got 2.5", 35),
+        ('class T { property p2 "P" = (1, 2); method f "F" = "a" bind a = p2[1.5]; }',
+         "expected a 1-based component index, got 1.5", 68),
+        ('class T { property p1 "P" = interval 0, 1; }', "expected ( or [ after interval", 38),
+        ('class T { property p1 "P" = interval(0, 1; }', "expected ) or ] to close the interval", 42),
+        ('class T { property p1 "P" = 1; method f "F" = "a" bind a = p1 unit; }',
+         "expected a unit name", 67),
+    ], ids=["repeat count", "component index", "interval open", "interval close", "method unit"])
+    def test_malformed_value_is_one_diagnostic(self, text, message, col):
+        assert [(d.message, d.line, d.col) for d in errors_of(text)] == [(message, 1, col)]
+
     def test_unknown_statement(self):
         diags = errors_of("network X;")
         assert "expected class, object, relation or modifier" in diags[0].message

@@ -14,7 +14,6 @@ from foodn.expr import (
     Sum,
     Var,
     compile_program,
-    free_vars,
     parse_expr,
 )
 from foodn.kernel import eval_program
@@ -72,8 +71,9 @@ class TestParsing:
         with pytest.raises(ExprSyntaxError):
             parse_expr("(a+b")
 
-    def test_free_vars(self):
-        assert free_vars(parse_expr("a^2*sin(alpha)+sum(s)")) == {"a", "alpha", "s"}
+    def test_compile_program_refuses_what_is_not_a_node(self):
+        with pytest.raises(TypeError, match="^not an expression node: 'a'$"):
+            compile_program(Bin("+", Num(1.0), "a"), {})
 
 
 class TestDepth:

@@ -134,6 +134,7 @@ class TestText:
     def test_format(self):
         fs = make_fuzzy_set([(1.8, 0.9), (2.0, 1.0), (2.1, 0.95)], "cm")
         assert format_fuzzy_set(fs) == "{1.8/0.9 + 2/1 + 2.1/0.95} cm"
+        assert str(fs) == format_fuzzy_set(fs)
 
     def test_round_trip(self):
         text = "{1.8/0.9 + 2/1 + 2.1/0.95} cm"

@@ -267,11 +267,25 @@ class TestValues:
         assert value_equivalent(Fuzzy(FS), Fuzzy(FS), 1e-9)
         assert value_equivalent(Absent(), Absent(), 1e-9)
 
+    @pytest.mark.parametrize("call", [
+        lambda: format_value(1.0),
+        lambda: value_equivalent(1.0, 1.0, 1e-9),
+    ], ids=["format_value", "value_equivalent"])
+    def test_a_value_that_is_no_property_value_is_a_type_error(self, call):
+        with pytest.raises(TypeError, match="^not a property value: 1.0$"):
+            call()
+
 
 class TestMethods:
     def test_body_must_bind_all_vars(self):
         with pytest.raises(ValueError, match="unbound"):
             MethodDef("f1", "Area", "a*b", (Binding("a", "p2", "component", 1),))
+
+    def test_unbound_variables_are_reported_before_a_family_read_outside_sum(self):
+        # a is a family read outside sum() and b is unbound: b is named first
+        with pytest.raises(ValueError) as info:
+            MethodDef("f1", "Area", "a + b", (Binding("a", "p2", "all"),))
+        assert str(info.value) == "method f1: unbound variables ['b'] in body 'a + b'"
 
     def test_duplicate_binding_vars(self):
         with pytest.raises(DuplicateId):
@@ -319,7 +333,10 @@ class TestMethods:
         (lambda: Modifier("M", "object", "", "O2", (CHANGE,)), "source"),
         (lambda: Modifier("M", "object", "O", "", (CHANGE,), ""), "target_name, target_class"),
         (lambda: Change("", CrispNumber(1.0), CrispNumber(2.0)), "change property id"),
-    ], ids=["modifier name", "modifier source", "modifier targets", "change prop"])
+        (lambda: Property("", "Sides", CrispNumber(4.0)), "property id"),
+        (lambda: MethodDef("", "Area", "a", (Binding("a", "p1"),)), "method id"),
+    ], ids=["modifier name", "modifier source", "modifier targets", "change prop", "property id",
+            "method id"])
     def test_modifier_names_must_be_non_empty(self, make, empty):
         with pytest.raises(ValueError, match=f"{empty} must be non-empty"):
             make()
@@ -598,6 +615,8 @@ class TestEntities:
         assert entity_kind(obj) == "object"
         assert entity_kind(cls) == "class"
         assert entity_kind(het) == "class"
+        with pytest.raises(TypeError, match="^not an entity: 'O'$"):
+            entity_kind("O")
 
     def test_is_fuzzy_entity(self):
         obj = define_object("O", [

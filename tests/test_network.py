@@ -201,6 +201,10 @@ class TestQueries:
         with pytest.raises(KindMismatch):
             net.query_related("O1", "friends")
 
+    def test_query_unknown_direction(self, polygons):
+        with pytest.raises(ValueError, match="^direction must be out or in, got 'up'$"):
+            polygons.query_related("Rb1", "instance-of", "up")
+
     def test_infer_relations(self):
         net = small_network()
         net.add_relation("O1", "C1", "instance-of")
@@ -456,6 +460,14 @@ class TestModifierApplication:
     def test_level_mismatch(self, polygons):
         with pytest.raises(NotApplicable, match="object-level"):
             polygons.apply_modifier("M1_Sq1", "T_Sq")
+
+    def test_a_heterogeneous_class_is_never_modified(self, polygons):
+        polygons.apply_exploiter("union", ["T_Rb", "T_Sq"])
+        with pytest.raises(NotApplicable) as info:
+            polygons.apply_modifier("M1_T_Sq", "union_T_Rb_T_Sq")
+        assert info.value.reasons == [
+            "union_T_Rb_T_Sq is a heterogeneous class and cannot be modified"
+        ]
 
     def test_failed_application_is_atomic(self, polygons):
         before = dumps(polygons)
