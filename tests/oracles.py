@@ -1,65 +1,30 @@
-"""Independent reference implementations used to check the engine.
+"""Reference implementations, used to check the engine, that perfbench has
+no copy of.
 
-Deliberately written without any engine types: fuzzy sets are plain lists
-of (support, degree) pairs, enumeration is explicit recursion, grouping
-goes through a dict keyed by exact value followed by a tolerance merge.
-The one exception is oracle_infer, which checks which pairs the network
-scores, not how it scores them, and so takes membership_degree as given.
-oracle_tokenize is the .foodn tokenizer written as a loop over single
-characters, against which the pattern-driven one in foodn.dsl is checked.
-oracle_compile (a tree of closures over the engine's own AST and functions)
-and oracle_merge (one loop over the sorted pairs) are earlier forms of
-foodn.expr.compile_program and foodn.fuzzy.merge_pairs, against which the
-generated bodies and the faster merge are checked bit for bit.
+The brute-force extension principle, the canonical merge and transitive
+reachability are perfbench/reference.py's `extend`, `merge` and `reach`,
+which the tests load with conftest.load: one copy serves the tests and the
+benchmark.  What is left here:
+
+- oracle_body, a method body given as a tuple tree as a plain function,
+  for the kernel's random-body test;
+- oracle_compile (a tree of closures over the engine's own AST and
+  functions), an earlier form of foodn.expr.compile_program, against which
+  the generated bodies are checked bit for bit;
+- oracle_insert, relation insertion with set semantics by linear scan;
+- oracle_infer, which checks which pairs infer_relations scores, not how it
+  scores them, and so takes membership_degree as given.  perfbench's
+  gen.Spec.infer scores only the generator's plain description of a
+  network, which holds no interval, tuple, extensional or heterogeneous
+  class;
+- oracle_tokenize, the .foodn tokenizer written as a loop over single
+  characters, against which the pattern-driven one in foodn.dsl is checked.
 """
 from __future__ import annotations
 
 import math
 import operator
 import re
-
-
-def oracle_extend(f, args, tol=1e-9):
-    """Brute-force lifting of *f* over fuzzy arguments.
-
-    Each argument is either a float (crisp) or a list of (support, degree)
-    pairs.  Returns the canonical list of (value, degree) pairs: sorted,
-    near-equal values folded together keeping the smallest value and the
-    max degree.
-    """
-    results: dict[float, float] = {}
-
-    def recurse(i, values, degs):
-        if i == len(args):
-            out = float(f(*values))
-            degree = 1.0
-            for d in degs:
-                if d < degree:
-                    degree = d
-            if out in results:
-                if degree > results[out]:
-                    results[out] = degree
-            else:
-                results[out] = degree
-            return
-        arg = args[i]
-        if isinstance(arg, (int, float)):
-            recurse(i + 1, values + [float(arg)], degs)
-        else:
-            for support, degree in arg:
-                recurse(i + 1, values + [support], degs + [degree])
-
-    recurse(0, [], [])
-
-    merged: list[list[float]] = []
-    for value in sorted(results):
-        degree = results[value]
-        if merged and value - merged[-1][0] <= tol:
-            if degree > merged[-1][1]:
-                merged[-1][1] = degree
-        else:
-            merged.append([value, degree])
-    return [(v, d) for v, d in merged if d > 0.0]
 
 
 def oracle_body(tree, names):
@@ -137,19 +102,6 @@ def oracle_compile(expr, var_slots, families=frozenset()):
     return build(expr)
 
 
-def oracle_merge(pairs, tol):
-    """merge_pairs as one loop over the sorted pairs: a support within *tol*
-    of its run's first support joins the run at the max degree."""
-    merged = []
-    for support, degree in sorted(pairs):
-        if merged and support - merged[-1][0] <= tol:
-            prev_s, prev_d = merged[-1]
-            merged[-1] = (prev_s, max(prev_d, degree))
-        else:
-            merged.append((float(support), float(degree)))
-    return tuple((s, float(d)) for s, d in merged if d > 0.0)
-
-
 def oracle_insert(relations, relation):
     """Insert a (source, target, kind, degree) tuple into a list of them
     with set semantics, by linear scan.
@@ -163,32 +115,6 @@ def oracle_insert(relations, relation):
             return "duplicate" if degree == relation[3] else "conflict"
     relations.append(tuple(relation))
     return "added"
-
-
-def oracle_reach(relations, start, kinds, direction, transitive):
-    """Names reachable from *start* over (source, target, kind, ...) tuples
-    of the given kinds, breadth first, one full scan of the list per name
-    visited.  Sorted, without duplicates; *start* itself appears only when
-    a path leads back to it."""
-    found = set()
-    visited = {start}
-    frontier = [start]
-    while frontier:
-        following = []
-        for here in frontier:
-            for source, target, kind, *_ in relations:
-                if kind not in kinds:
-                    continue
-                near, far = (source, target) if direction == "out" else (target, source)
-                if near == here:
-                    found.add(far)
-                    if far not in visited:
-                        visited.add(far)
-                        following.append(far)
-        if not transitive:
-            break
-        frontier = following
-    return sorted(found)
 
 
 def oracle_infer(net, threshold=0.0):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DISJOINT, POLYGONS, run_cli
+from conftest import DISJOINT, POLYGONS, load, run_cli
 from foodn.errors import DoesNotExist, NotApplicable
 from foodn.exploiters import (
     ObjectSet,
@@ -23,7 +23,8 @@ from foodn.exploiters import (
 from foodn.fuzzy import DEFAULT_TOL
 from foodn.model import HeterogeneousClass, entity_kind
 from foodn.serialize import dumps, entity_to_doc
-from oracles import oracle_extend
+
+reference = load("perfbench/reference.py")
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -159,16 +160,16 @@ def test_criterion_6_evaluator_vs_oracle(polygons):
     # every figure independently recomputed by the enumeration oracle
     p2_rb = list(rb1.get_property("p2").value.values[0].elements)
     p2_sq = list(sq1.get_property("p2").value.values[0].elements)
-    oracle_f1 = oracle_extend(lambda a: 4.0 * a, [p2_rb], 1e-9)
+    oracle_f1 = reference.extend(lambda a: 4.0 * a, [p2_rb], 1e-9)
     assert [x for pair in f1.elements for x in pair] == pytest.approx(
         [x for pair in oracle_f1 for x in pair])
-    oracle_sq = oracle_extend(
+    oracle_sq = reference.extend(
         lambda a, al: a * a * math.sin(math.radians(al)),
         [p2_sq, [(90.0, 1.0)]], 1e-9)
     assert list(f2_sq.supports()) == pytest.approx(
         [s for s, _ in oracle_sq], abs=1e-12)
     assert list(f2_sq.degrees()) == [d for _, d in oracle_sq]
-    oracle_rb = oracle_extend(
+    oracle_rb = reference.extend(
         lambda a, al: a * a * math.sin(math.radians(al)),
         [p2_rb, [(95.0, 1.0)]], 1e-9)
     assert list(f2_rb.supports()) == pytest.approx(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import POLYGONS
+from conftest import POLYGONS, load
 from foodn import evaluator, expr, load_file
 from foodn.errors import UnknownMethod, UnresolvedBinding
 from foodn.evaluator import eval_method, evaluate_method, resolve_binding
@@ -24,7 +24,8 @@ from foodn.model import (
     TruthDegree,
     define_object,
 )
-from oracles import oracle_extend
+
+reference = load("perfbench/reference.py")
 
 SIDE = make_fuzzy_set([(1.8, 0.9), (2.0, 1.0), (2.1, 0.95)], unit="cm")
 
@@ -107,7 +108,7 @@ class TestEvaluateMethod:
         columns = [list(SIDE.elements)] * 4
         # the evaluator adds members left to right; sum() compensates from
         # Python 3.12 on, which can differ in the last bit
-        expected = oracle_extend(lambda *xs: functools.reduce(operator.add, xs), columns, 1e-9)
+        expected = reference.extend(lambda *xs: functools.reduce(operator.add, xs), columns, 1e-9)
         assert list(result.elements) == expected
         # wider support than scaling one side: sums like 1.8+2+2+2 appear
         assert len(result.elements) > 3
@@ -134,7 +135,7 @@ class TestEvaluateMethod:
     def test_mixed_crisp_fuzzy(self):
         obj = polygon_like()
         result = eval_method(obj, "f2")
-        expected = oracle_extend(
+        expected = reference.extend(
             lambda a, alpha: a ** 2 * math.sin(math.radians(alpha)),
             [list(SIDE.elements), [(95.0, 1.0)]], 1e-9,
         )
@@ -180,7 +181,7 @@ class TestSumFamilies:
     @given(st.lists(grid_set, min_size=1, max_size=5))
     def test_sum_matches_oracle(self, sides):
         result = eval_method(perimeter_of(sides), "f1s")
-        expected = oracle_extend(lambda *xs: sum(xs), [list(fs.elements) for fs in sides])
+        expected = reference.extend(lambda *xs: sum(xs), [list(fs.elements) for fs in sides])
         assert len(result.elements) == len(expected)
         for (got, degree), (want, want_degree) in zip(result.elements, expected):
             assert abs(got - want) <= 1e-9

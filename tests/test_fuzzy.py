@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import load
 from foodn import parse_fuzzy_set, parse_network
 from foodn.errors import DegreeOutOfRange, DslError, EmptyFuzzySet, EmptyInput, EvaluationError
 from foodn.evaluator import extend
@@ -18,7 +19,7 @@ from foodn.fuzzy import (
     merge_pairs,
 )
 
-from oracles import oracle_extend, oracle_merge
+reference = load("perfbench/reference.py")
 
 
 class TestConstruction:
@@ -107,7 +108,7 @@ class TestExtend:
         b = make_fuzzy_set([(1, 0.8), (2, 0.4)])
         # products 1*2 and 2*1 coincide at 2
         out = extend(lambda x, y: x * y, [a, b])
-        oracle = oracle_extend(lambda x, y: x * y, [list(a.elements), list(b.elements)])
+        oracle = reference.extend(lambda x, y: x * y, [list(a.elements), list(b.elements)])
         assert list(out.elements) == oracle
 
     def test_empty_args(self):
@@ -126,7 +127,7 @@ class TestExtend:
         b = make_fuzzy_set([(0.5, 0.75), (2.0, 0.6)])
         for f in (lambda x, y: x + y, lambda x, y: x * y):
             got = extend(f, [a, b])
-            want = oracle_extend(f, [list(a.elements), list(b.elements)])
+            want = reference.extend(f, [list(a.elements), list(b.elements)])
             assert list(got.elements) == want
 
 
@@ -232,7 +233,8 @@ def test_merge_pairs_matches_the_pair_loop_bit_for_bit(pairs, tol):
     the sorted pairs, compared by float.hex so that -0.0 counts."""
     pairs = pairs + pairs[: len(pairs) // 2]  # every other pair at least twice
     hexed = lambda merged: [(s.hex(), d.hex()) for s, d in merged]  # noqa: E731
-    assert hexed(merge_pairs(pairs, tol)) == hexed(oracle_merge(pairs, tol))
+    assert hexed(merge_pairs(pairs, tol)) == hexed(
+        (float(s), float(d)) for s, d in reference.merge(pairs, tol))
 
 
 def test_merge_pairs_groups_by_run_representative():

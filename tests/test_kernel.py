@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import load
 from foodn.errors import EvaluationError
 from foodn.expr import MAX_DEPTH, compile_program, parse_expr
 from foodn.kernel import eval_program
-from oracles import oracle_body, oracle_compile, oracle_extend
+from oracles import oracle_body, oracle_compile
+
+reference = load("perfbench/reference.py")
 
 
 def program_for(text, names):
@@ -68,9 +71,9 @@ class TestParity:
         except EvaluationError:
             # the only failure these bodies can meet is a zero divisor
             with pytest.raises(ZeroDivisionError):
-                oracle_extend(f, columns)
+                reference.extend(f, columns)
             return
-        expected = oracle_extend(f, columns)
+        expected = reference.extend(f, columns)
         assert len(pairs) == len(expected)
         for (got, degree), (want, want_degree) in zip(pairs, expected):
             assert abs(got - want) <= 1e-9
@@ -174,7 +177,7 @@ class TestRandomBodies:
     def test_kernel_matches_tree_oracle(self, tree, columns):
         prog = program_for(render(tree), NAMES)
         try:
-            expected = oracle_extend(oracle_body(tree, NAMES), list(columns))
+            expected = reference.extend(oracle_body(tree, NAMES), list(columns))
         except (ArithmeticError, ValueError):
             with pytest.raises(EvaluationError):
                 run(prog, columns)

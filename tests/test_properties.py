@@ -10,9 +10,10 @@ import math
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import load
 from foodn import fixture_path, load_file
 from foodn._record import replace
 from foodn.errors import (
@@ -53,7 +54,9 @@ from foodn.model import (
 from foodn.modifiers import Change, define_modifier
 from foodn.network import RELATION_KINDS, Network
 from foodn.serialize import dumps, entity_to_doc, loads, to_document
-from oracles import oracle_extend, oracle_infer, oracle_insert, oracle_reach
+from oracles import oracle_infer, oracle_insert
+
+reference = load("perfbench/reference.py")
 
 MANY = settings(max_examples=200, deadline=None)
 
@@ -77,7 +80,7 @@ def test_extension_matches_oracle(data, which):
     _, f, arity = which
     args = [data.draw(fuzzy_sets) for _ in range(arity)]
     result = extend(f, args)
-    expected = oracle_extend(f, [list(a.elements) for a in args], 1e-9)
+    expected = reference.extend(f, [list(a.elements) for a in args], 1e-9)
     assert list(result.elements) == expected
 
 
@@ -406,12 +409,15 @@ def test_relation_index_matches_linear_scan(steps):
                 assert refused == (outcome == "conflict")
 
         assert [(r.source, r.target, r.kind, r.degree) for r in net.relations] == model
+        edges = [(source, target, kind) for source, target, kind, _ in model]
         for name in _live(net) | set(net.history):
             for kinds in KIND_SETS:
                 for direction in ("out", "in"):
+                    ends = [(s, t) if direction == "out" else (t, s) for s, t, k in edges if k in kinds]
                     for transitive in (False, True):
                         assert net.query_related(name, kinds, direction, transitive) == (
-                            oracle_reach(model, name, kinds, direction, transitive)
+                            reference.reach(edges, name, kinds, direction) if transitive
+                            else sorted({far for near, far in ends if near == name})
                         )
 
 
@@ -494,9 +500,21 @@ def infer_network(draw):
     return net
 
 
+def _two_halves():
+    """An object at fuzzy(0.5) in p1 and p4 against a class that marks both
+    fuzzy: 0.5 under min, 0.25 under the product."""
+    net = Network()
+    net.add(define_object("O0", [Property("p1", "First", TruthDegree(0.5)),
+                                 Property("p4", "Fourth", TruthDegree(0.5))]))
+    net.add(define_class("C0", [Property("p1", "First", FuzzyMarker()),
+                                Property("p4", "Fourth", FuzzyMarker())]))
+    return net
+
+
 @MANY
 @given(net=infer_network(),
        threshold=st.one_of(st.integers(0, 10).map(lambda n: n / 10.0), st.floats(0.0, 1.0)))
+@example(net=_two_halves(), threshold=0.0)
 def test_infer_relations_matches_scoring_every_pair(net, threshold):
     before = [(r.source, r.target, r.kind, r.degree) for r in net.relations]
     proposals = net.infer_relations(threshold)

@@ -2,19 +2,11 @@
 loaded from its file; nothing is run."""
 from __future__ import annotations
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-TRAJECTORY = Path(__file__).resolve().parent.parent / "benchmarks" / "trajectory.py"
+from conftest import load
 
-
-def _trajectory():
-    spec = importlib.util.spec_from_file_location("benchmarks_trajectory", TRAJECTORY)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+trajectory = load("benchmarks/trajectory.py")
 
 
 def _report(round_s, failed=2, attempted=225):
@@ -23,13 +15,13 @@ def _report(round_s, failed=2, attempted=225):
 
 
 def test_pairs_take_ten_runs_a_side():
-    assert _trajectory().PAIRS == 10
+    assert trajectory.PAIRS == 10
 
 
 def test_summary_gives_quartiles_and_wins_per_pair():
     base = [12.0, 11.0, 13.0, 12.5, 11.5, 12.0, 14.0, 11.8, 12.2, 12.1]
     change = [10.0, 10.5, 10.2, 12.5, 9.9, 10.1, 10.0, 12.0, 10.3, 10.4]
-    summary = _trajectory().summarize(
+    summary = trajectory.summarize(
         [_report(x) for x in base], [_report(x, failed=i % 2) for i, x in enumerate(change)],
         ["round_s"],
     )
