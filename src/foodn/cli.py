@@ -110,6 +110,12 @@ def cmd_save(net, args, warnings):
     return None, []  # main() writes --out
 
 
+def _non_empty(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("must be non-empty")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="foodn", description="Work with fuzzy object-oriented dynamic networks."
@@ -148,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("apply-exploiter", cmd_apply_exploiter, "run an exploiter and store its result", out=True)
     sp.add_argument("kind", choices=sorted(EXPLOITER_ALIASES))
     sp.add_argument("names", nargs="+", help="argument entities")
-    sp.add_argument("--name", help="name for the result")
+    sp.add_argument("--name", type=_non_empty, help="name for the result")
     sp.add_argument("--index", type=int, help="clone index")
 
     sp = add("apply-modifier", cmd_apply_modifier, "apply a registered modifier", out=True)
@@ -190,6 +196,9 @@ def main(argv=None) -> int:
     except DslError as exc:
         for diag in exc.diagnostics:
             print(f"{args.infile}:{diag}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:  # load_file reads --in as UTF-8 text
+        print(f"error: {args.infile}: not UTF-8 text: {exc.reason} at byte {exc.start}", file=sys.stderr)
         return 2
     except (SchemaVersionMismatch, CorruptDocument, ExprSyntaxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -457,6 +457,14 @@ class TestExitCodes:
         code, _, err = run_cli("load", "--in", "/nonexistent/net.foodn")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("suffix", [".foodn", ".json"])
+    def test_input_that_is_not_utf8_is_2(self, tmp_path, suffix):
+        path = tmp_path / f"net{suffix}"
+        path.write_bytes(Path(POLYGONS).read_bytes().replace(b'"', b'"\xff', 1))
+        code, out, err = run_cli("fuzzy", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: not UTF-8 text") and err.count("\n") == 1
+
     def test_usage_error_is_2(self):
         code, _, err = run_cli("load")
         assert code == 2
@@ -465,3 +473,8 @@ class TestExitCodes:
         code, _, err = run_cli("apply-exploiter", "complement", "T_Rb",
                                "--in", POLYGONS)
         assert code == 2  # argparse rejects the choice
+
+    def test_empty_result_name_is_usage_error(self):
+        code, _, err = run_cli("apply-exploiter", "union", "T_Rb", "T_Sq", "--name", "",
+                               "--in", POLYGONS)
+        assert code == 2 and err.endswith("error: argument --name: must be non-empty\n")
