@@ -1,5 +1,4 @@
-"""benchmarks/mutants.py's catalogue, and its reading of pytest's summary.
-The module is loaded from its file; no mutant is run."""
+"""benchmarks/mutants.py's catalogue and summary parser, loaded from its file; no mutant is run."""
 from __future__ import annotations
 
 from conftest import ROOT, load
@@ -16,11 +15,11 @@ def test_ids_are_unique_and_every_mutant_changes_its_text():
     ids = [m[0] for m in mutants.MUTANTS]
     assert len(ids) == len(set(ids)) >= 15
     assert all(old != new for _, _, old, new, _ in mutants.MUTANTS)
+    assert mutants.SELF.endswith(f"::{test_every_old_text_occurs_once_in_the_checkout.__name__}")
 
 
 def test_killers_reads_failed_and_error_lines():
     output = """\
-.F.FE                                                                    [100%]
 =========================== short test summary info ============================
 FAILED tests/test_f.py::test_bad - assert 1 == 2
 FAILED tests/test_f.py::test_p[c - d] - AssertionError: assert 'c - d' == 'a b'
