@@ -17,6 +17,20 @@ def golden(name: str) -> str:
     return (GOLDEN / name).read_text(encoding="utf-8")
 
 
+def named(records, name, key="name"):
+    [record] = [r for r in records if r[key] == name]
+    return record
+
+
+def edited_polygons(tmp_path, edit) -> str:
+    """The path of a JSON file holding the polygons fixture's document after *edit*."""
+    doc = to_document(load_file(POLYGONS)[0])
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 class TestGoldenOutputs:
     def test_load_counts(self):
         code, out, err = run_cli("load", "--in", POLYGONS)
@@ -284,32 +298,22 @@ class TestExitCodes:
         code, _, err = run_cli("load", "--in", str(path))
         assert code == 2 and "not valid JSON" in err
 
-    @pytest.mark.parametrize("corrupt", [
-        "unknown endpoint", "empty interval", "provenance op", "extension member", "history",
-        "exploiters",
-    ])
-    def test_invalid_document_is_2(self, tmp_path, corrupt):
-        doc = to_document(load_file(POLYGONS)[0])
-        if corrupt == "unknown endpoint":
-            doc["relations"].append(
-                {"source": "Nope", "target": "T_Rb", "kind": "instance-of", "degree": 1.0})
-        elif corrupt == "provenance op":
-            doc["provenance"].append(
-                {"seq": 1, "op": 5, "sources": ["Sq1"], "target": "Rb1_2", "changes": []})
-        elif corrupt == "extension member":  # once loaded, and save then died in sorted()
-            doc["classes"].append({"kind": "class", "name": "U", "mode": "extensional",
-                                   "extension": [5, "Rb1"], "properties": [], "methods": []})
-        elif corrupt == "history":  # once loaded as {"S": "q"}
-            doc["history"] = ["Sq"]
-        elif corrupt == "exploiters":  # once loaded, and save wrote the five back
-            doc["exploiters"] = []
-        else:
-            [t_rb] = [c for c in doc["classes"] if c["name"] == "T_Rb"]
-            [angles] = [p for p in t_rb["properties"] if p["id"] == "p4"]
-            angles["value"]["lo"] = angles["value"]["hi"]
-        path = tmp_path / "invalid.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run_cli("load", "--in", str(path))
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["relations"].append(
+            {"source": "Nope", "target": "T_Rb", "kind": "instance-of", "degree": 1.0}),
+        # T_Rb's angles, interval(0, 180), with lo = hi
+        lambda doc: named(named(doc["classes"], "T_Rb")["properties"], "p4", "id")["value"].update(lo=180.0),
+        lambda doc: doc["provenance"].append(
+            {"seq": 1, "op": 5, "sources": ["Sq1"], "target": "Rb1_2", "changes": []}),
+        # once loaded, and save then died in sorted()
+        lambda doc: doc["classes"].append({"kind": "class", "name": "U", "mode": "extensional",
+                                           "extension": [5, "Rb1"], "properties": [], "methods": []}),
+        lambda doc: doc.update(history=["Sq"]),  # once loaded as {"S": "q"}
+        lambda doc: doc.update(exploiters=[]),  # once loaded, and save wrote the five back
+    ], ids=["unknown endpoint", "empty interval", "provenance op", "extension member", "history",
+            "exploiters"])
+    def test_invalid_document_is_2(self, tmp_path, edit):
+        code, out, err = run_cli("load", "--in", edited_polygons(tmp_path, edit))
         assert (code, out) == (2, "")
         assert err.startswith("error: bad network document:") and err.count("\n") == 1
         assert "Traceback" not in err
@@ -323,15 +327,13 @@ class TestExitCodes:
 
     def test_nested_heterogeneous_projection_is_2(self, tmp_path):
         # union refuses heterogeneous arguments, so no network holds such a class
-        doc = to_document(load_file(POLYGONS)[0])
-        het = {"kind": "heterogeneous-class", "name": "H0", "projections": doc["classes"][:2]}
-        for depth in range(1, 300):
-            projections = [het, {**doc["classes"][2], "name": f"S{depth}"}]
-            het = {"kind": "heterogeneous-class", "name": f"H{depth}", "projections": projections}
-        doc["classes"].append(het)
-        path = tmp_path / "nested.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run_cli("membership", "Rb1", "H299", "--in", str(path))
+        def nest(doc):
+            het = {"kind": "heterogeneous-class", "name": "H0", "projections": doc["classes"][:2]}
+            for depth in range(1, 300):
+                projections = [het, {**doc["classes"][2], "name": f"S{depth}"}]
+                het = {"kind": "heterogeneous-class", "name": f"H{depth}", "projections": projections}
+            doc["classes"].append(het)
+        code, out, err = run_cli("membership", "Rb1", "H299", "--in", edited_polygons(tmp_path, nest))
         assert (code, out) == (2, "")
         assert err.startswith("error: bad network document:") and "Traceback" not in err
         assert "every projection must be a homogeneous class" in err
@@ -347,28 +349,21 @@ class TestExitCodes:
         assert err.startswith("error:") and err.count("\n") == 1
 
     def test_non_integer_binding_index_is_2(self, tmp_path):
-        doc = to_document(load_file(POLYGONS)[0])
-        [rb1] = [o for o in doc["objects"] if o["name"] == "Rb1"]
-        [f1] = [m for m in rb1["methods"] if m["id"] == "f1"]
-        f1["bindings"][0]["index"] = 1.5
-        path = tmp_path / "f.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run_cli("eval", "--in", str(path), "Rb1", "f1")
+        def edit(doc):
+            named(named(doc["objects"], "Rb1")["methods"], "f1", "id")["bindings"][0]["index"] = 1.5
+        code, out, err = run_cli("eval", "--in", edited_polygons(tmp_path, edit), "Rb1", "f1")
         assert (code, out) == (2, "")
         assert err.startswith("error: bad network document:") and err.count("\n") == 1
         assert "1-based integers" in err and "Traceback" not in err
 
     def test_non_string_property_id_is_2(self, tmp_path):
         # refused at load, before membership can answer 0 or save crash in a sort
-        doc = to_document(load_file(POLYGONS)[0])
-        [rb1] = [o for o in doc["objects"] if o["name"] == "Rb1"]
-        [p6] = [p for p in rb1["properties"] if p["id"] == "p6"]
-        p6["id"] = 6
-        path = tmp_path / "p.json"
-        path.write_text(json.dumps(doc))
+        def edit(doc):
+            named(named(doc["objects"], "Rb1")["properties"], "p6", "id")["id"] = 6
+        path = edited_polygons(tmp_path, edit)
         saved = tmp_path / "saved.json"
         for command in (["membership", "Rb1", "T_Rb"], ["save", "--out", str(saved)]):
-            code, out, err = run_cli(*command, "--in", str(path))
+            code, out, err = run_cli(*command, "--in", path)
             assert (code, out) == (2, "")
             assert err.startswith("error: bad network document:") and err.count("\n") == 1
             assert "property id must be a string" in err and "Traceback" not in err
@@ -405,13 +400,9 @@ class TestExitCodes:
         assert "number out of range" in err and "Traceback" not in err
 
     def test_non_finite_document_value_is_2(self, tmp_path):
-        doc = to_document(load_file(POLYGONS)[0])
-        [rb1] = [o for o in doc["objects"] if o["name"] == "Rb1"]
-        [p1] = [p for p in rb1["properties"] if p["id"] == "p1"]
-        p1["value"]["value"] = float("inf")
-        path = tmp_path / "inf.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run_cli("eval", "--in", str(path), "Rb1", "f1")
+        def edit(doc):
+            named(named(doc["objects"], "Rb1")["properties"], "p1", "id")["value"]["value"] = float("inf")
+        code, out, err = run_cli("eval", "--in", edited_polygons(tmp_path, edit), "Rb1", "f1")
         assert (code, out) == (2, "")
         assert err == "error: bad network document: a number must be finite, got inf\n"
 
@@ -421,14 +412,10 @@ class TestExitCodes:
     ])
     def test_bad_modifier_document_is_2(self, tmp_path, key, value, message):
         # refused at load, before save can crash in a sort or apply-modifier in a rename
-        doc = to_document(load_file(POLYGONS)[0])
-        [m1] = [m for m in doc["modifiers"] if m["name"] == "M1_Sq1"]
-        m1[key] = value
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps(doc))
+        path = edited_polygons(tmp_path, lambda doc: named(doc["modifiers"], "M1_Sq1").update({key: value}))
         saved = tmp_path / "saved.json"
         for command in (["save", "--out", str(saved)], ["apply-modifier", "M1_Sq1", "Sq1"]):
-            code, out, err = run_cli(*command, "--in", str(path))
+            code, out, err = run_cli(*command, "--in", path)
             assert (code, out) == (2, "")
             assert err == f"error: bad network document: {message}\n"
         assert not saved.exists()
@@ -438,12 +425,10 @@ class TestExitCodes:
         (lambda changes: changes[:1] * 2, "several changes target one property"),
     ], ids=["empty", "repeated"])
     def test_bad_change_list_is_2(self, tmp_path, edit, message):
-        doc = to_document(load_file(POLYGONS)[0])
-        [m1] = [m for m in doc["modifiers"] if m["name"] == "M1_Sq1"]
-        m1["changes"] = edit(m1["changes"])
-        path = tmp_path / "changes.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run_cli("load", "--in", str(path))
+        def edit_changes(doc):
+            m1 = named(doc["modifiers"], "M1_Sq1")
+            m1["changes"] = edit(m1["changes"])
+        code, out, err = run_cli("load", "--in", edited_polygons(tmp_path, edit_changes))
         assert (code, out) == (2, "")
         assert err == f"error: bad network document: modifier M1_Sq1: {message}\n"
 
